@@ -95,6 +95,12 @@ def _initial_grid(args) -> tuple[FlowGrid, object]:
                        lambda t: float(form(nodes[-1], t)))
         return grid, bc
     entry = catalog.get(spec)
+    lo, hi = entry.t_domain
+    for flag, t in (("--t0", args.t0), ("--t1", args.t1)):
+        if not lo < t < hi:
+            raise InvalidParams(
+                f"{flag}={t:g} is outside the time domain ({lo:g}, {hi:g}) "
+                f"of {entry.name}")
     grid = FlowGrid(entry.kind, nodes, entry.sampler(nodes, args.t0), args.t0)
     bc = Dirichlet(lambda t: float(entry.sampler(nodes[0], t)),
                    lambda t: float(entry.sampler(nodes[-1], t)))
@@ -359,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--t1", type=float, required=True)
     ev.add_argument("--dx", type=float, default=0.01)
     ev.add_argument("--dt", type=float, default=None,
-                    help="explicit step (checked against stability)")
+                    help="cap on the step of the explicit Euler reference "
+                         "scheme (checked against stability); without it "
+                         "the flow is solved by BDF")
     ev.add_argument("--window", type=float, nargs=2, default=(-2.0, 2.0))
     ev.add_argument("--snapshots", type=int, default=4)
     ev.add_argument("--boundary", default="exact",

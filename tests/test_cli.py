@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from minkflow.cli import main
+from minkflow.flow import FlowGrid, FlowKind, stability_dt
 
 
 def run(argv):
@@ -74,6 +75,54 @@ class TestEvolveCommand:
                     "--t1", "0.6", "--dx", "0.02", "--dt", "0.01",
                     "--out", str(tmp_path)])
         assert code == 3
+
+    def test_time_outside_domain(self, tmp_path, capsys):
+        for times in (["--t0", "-1", "--t1", "1"],
+                      ["--t0", "0.5", "--t1", "inf"]):
+            code = run(["evolve", "hyperbola-expander", *times,
+                        "--out", str(tmp_path)])
+            assert code == 2
+            assert "outside the time domain (0, inf)" in capsys.readouterr().err
+
+    def test_non_finite_initial_values(self, tmp_path, capsys):
+        code = run(["evolve", "expr:sqrt(x)", "--window", "-1", "1",
+                    "--t1", "0.1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "values must be finite" in capsys.readouterr().err
+
+    def test_non_finite_state_exit(self, tmp_path, capsys):
+        code = run(["evolve", "expr:0.3*x+0.001*sqrt(0.05-t)", "--window",
+                    "-1", "1", "--dx", "0.05", "--t1", "0.1",
+                    "--out", str(tmp_path)])
+        assert code == 3
+        assert "DegenerateSlope" in capsys.readouterr().err
+
+    def test_non_positive_dt(self, tmp_path, capsys):
+        code = run(["evolve", "hyperbola-expander", "--t0", "0.5",
+                    "--t1", "0.6", "--dt", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "max_dt must be positive" in capsys.readouterr().err
+
+    def test_explicit_dt_path(self, tmp_path):
+        args = ["evolve", "hyperbola-expander", "--t0", "0.5", "--t1",
+                "0.55", "--dx", "0.02", "--window", "-2", "2",
+                "--snapshots", "3"]
+        nodes = np.linspace(-2.0, 2.0, 201)
+        dt = 0.5 * stability_dt(FlowGrid(FlowKind.GRAPH_Y, nodes,
+                                         np.sqrt(nodes ** 2 + 1.0), 0.5))
+        bdf, euler = tmp_path / "bdf", tmp_path / "euler"
+        assert run(args + ["--out", str(bdf)]) == 0
+        assert run(args + ["--dt", repr(dt), "--out", str(euler)]) == 0
+
+        def times(out):
+            return [p.read_text().splitlines()[0]
+                    for p in sorted(out.glob("snapshot_*.csv"))]
+
+        assert times(euler) == times(bdf)
+        data = np.genfromtxt(euler / "snapshot_002.csv", delimiter=",",
+                             skip_header=2)
+        err = np.max(np.abs(data[:, 1] - np.sqrt(data[:, 0] ** 2 + 1.1)))
+        assert err <= 5 * (0.02 ** 2 + dt)
 
     def test_svg_determinism(self, tmp_path):
         args = ["evolve", "translator-y", "--t1", "0.05", "--dx", "0.05",

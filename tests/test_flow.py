@@ -62,8 +62,50 @@ class TestStep:
         with pytest.raises(SignChange):
             FlowGrid(FlowKind.CURVATURE_ANGLE, nodes, nodes.copy())
 
+    def test_non_finite_grid_rejected(self):
+        nodes = np.linspace(-1, 1, 101)
+        values = 0.3 * nodes
+        values[50] = math.nan
+        with pytest.raises(ValueError, match="values must be finite"):
+            FlowGrid(FlowKind.GRAPH_Y, nodes, values)
+        bad = nodes.copy()
+        bad[3] = math.inf
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            FlowGrid(FlowKind.GRAPH_Y, bad, 0.3 * nodes)
+        with pytest.raises(ValueError, match="t must be finite"):
+            FlowGrid(FlowKind.GRAPH_Y, nodes, 0.3 * nodes, math.nan)
+
+
+@pytest.mark.parametrize("kind, profile", [
+    (FlowKind.GRAPH_Y, lambda u: np.sqrt(u * u + 1.0)),
+    (FlowKind.LIGHTCONE, np.exp),
+    (FlowKind.CURVATURE_ANGLE, lambda u: np.sqrt(np.cosh(2.0 * u) + 0.5)),
+])
+def test_stencil_bands_match_forward_differences(kind, profile):
+    h, eps = 0.01, 1e-7
+    v = profile(np.arange(-1, 1 + h / 2, h))
+    rhs, lower, diag, upper = flow._stencil(kind, v, h)
+    jac = np.empty((len(rhs), len(v)))
+    for j in range(len(v)):
+        bumped = v.copy()
+        bumped[j] += eps
+        jac[:, j] = (flow._stencil(kind, bumped, h)[0] - rhs) / eps
+    rows = np.arange(len(rhs))
+    for offset, band in ((0, lower), (1, diag), (2, upper)):
+        fd = jac[rows, rows + offset]
+        assert np.max(np.abs(fd - band)) <= 1e-4 * np.max(np.abs(band))
+
 
 class TestEvolve:
+    def test_bad_end_time_or_step(self):
+        g = graph_grid(lambda x, t: np.sqrt(x * x + 2 * t), 0.5)
+        for t_end in (0.4, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_end"):
+                evolve(g, t_end)
+        for max_dt in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="max_dt"):
+                evolve(g, 0.6, max_dt=max_dt)
+
     def test_noop_at_same_time(self):
         g = graph_grid(lambda x, t: np.sqrt(x * x + 2 * t), 0.5)
         out = evolve(g, 0.5)
@@ -87,6 +129,60 @@ class TestEvolve:
                        lambda t: float(f(nodes[-1], t)))
         out = evolve(g, 1.0, boundary=bc)[-1]
         assert np.max(np.abs(out.values - f(nodes, 1.0))) < 1e-4
+
+    @pytest.mark.parametrize("kind, f, t0", [
+        (FlowKind.GRAPH_Y, lambda x, t: np.sqrt(x * x + 2 * t), 0.5),
+        (FlowKind.LIGHTCONE, lambda e, t: np.exp(e) + t, 0.0),
+        (FlowKind.CURVATURE_ANGLE,
+         lambda th, t: np.sqrt(np.cosh(2 * th) + np.tanh(2 * t)), 0.0),
+    ])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_bdf_matches_euler_reference(self, kind, f, t0, frozen):
+        # Both paths integrate the same semi-discrete system, so their
+        # snapshots differ by the time-stepping error only: O(dt) for Euler.
+        nodes = np.linspace(-1, 1, 51)
+        g = FlowGrid(kind, nodes, f(nodes, t0), t0)
+        bc = None if frozen else Dirichlet(lambda t: float(f(nodes[0], t)),
+                                           lambda t: float(f(nodes[-1], t)))
+        dt = stability_dt(g)
+        bdf = evolve(g, t0 + 0.1, snapshot_every=0.03, boundary=bc)
+        euler = evolve(g, t0 + 0.1, snapshot_every=0.03, boundary=bc,
+                       max_dt=dt)
+        assert [s.t for s in euler] == [s.t for s in bdf]
+        for a, b in zip(bdf, euler):
+            assert np.max(np.abs(a.values - b.values)) <= dt
+
+    def test_curvature_angle_wave(self):
+        f = lambda th, t: np.sqrt(np.cosh(2 * th) + np.tanh(2 * t))
+        h = 0.01
+        th = np.arange(-1, 1 + h / 2, h)
+        g = FlowGrid(FlowKind.CURVATURE_ANGLE, th, f(th, 0.0), 0.0)
+        bc = Dirichlet(lambda t: float(f(th[0], t)),
+                       lambda t: float(f(th[-1], t)))
+        out = evolve(g, 0.2, boundary=bc)[-1]
+        assert out.t == 0.2
+        err = np.max(np.abs(out.values - f(th, 0.2)))
+        assert err <= 5 * (h * h + stability_dt(g))
+
+    def test_degeneracy_reported(self):
+        # |y(1) - y(-1)| < 2 on a space-like graph, so the right end 3t
+        # forces the slope to the light cone near t = 2/3.
+        nodes = np.linspace(-1, 1, 201)
+        g = FlowGrid(FlowKind.GRAPH_Y, nodes, np.zeros(201), 0.0)
+        bc = Dirichlet(lambda t: 0.0, lambda t: 3.0 * t)
+        with pytest.raises(DegenerateSlope) as info:
+            evolve(g, 1.0, boundary=bc)
+        assert 0.5 < info.value.t < 0.7
+
+    @pytest.mark.parametrize("max_dt", [None, 1e-4])
+    def test_non_finite_state_reported(self, max_dt):
+        nodes = np.linspace(-1, 1, 41)
+        g = FlowGrid(FlowKind.GRAPH_Y, nodes, 0.3 * nodes, 0.0)
+        bc = Dirichlet(lambda t: -0.3 if t < 0.05 else math.nan,
+                       lambda t: 0.3)
+        with pytest.raises(DegenerateSlope) as info:
+            evolve(g, 0.1, boundary=bc, max_dt=max_dt)
+        assert 0.0 <= info.value.t <= 0.0502
 
     def test_lightcone_translator(self):
         f = lambda e, t: np.exp(e) + t
