@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import sympy as sp
@@ -75,6 +74,10 @@ def _initial_grid(args) -> tuple[FlowGrid, object]:
     """Build the starting grid and a boundary policy from --initial."""
     spec = args.initial
     window = (args.window[0], args.window[1])
+    if not (args.dx > 0.0 and math.isfinite(args.dx)):
+        raise InvalidParams(f"--dx must be positive and finite, not {args.dx:g}")
+    if not window[0] < window[1]:
+        raise InvalidParams(f"--window {window[0]:g} {window[1]:g} is empty")
     n = int(round((window[1] - window[0]) / args.dx)) + 1
     nodes = np.linspace(window[0], window[1], n)
     if spec.startswith("csv:"):
@@ -90,11 +93,20 @@ def _initial_grid(args) -> tuple[FlowGrid, object]:
         kind = FlowKind(args.kind)
         var = "x" if kind is FlowKind.GRAPH_Y else "eta"
         form = _parse_expr(spec[5:], var)
-        grid = FlowGrid(kind, nodes, form(nodes, args.t0), args.t0)
-        bc = Dirichlet(lambda t: float(form(nodes[0], t)),
-                       lambda t: float(form(nodes[-1], t)))
+
+        def sample(pts, t):  # FlowGrid and evolve refuse non-finite values
+            with np.errstate(all="ignore"):
+                return form(pts, t)
+
+        grid = FlowGrid(kind, nodes, sample(nodes, args.t0), args.t0)
+        bc = Dirichlet(lambda t: float(sample(nodes[0], t)),
+                       lambda t: float(sample(nodes[-1], t)))
         return grid, bc
     entry = catalog.get(spec)
+    if entry.plane is not flow.Plane.MINKOWSKI:
+        raise InvalidParams(
+            f"{entry.name} is a {entry.plane.value} entry; evolve solves "
+            "only the Minkowski flow")
     lo, hi = entry.t_domain
     for flag, t in (("--t0", args.t0), ("--t1", args.t1)):
         if not lo < t < hi:
@@ -199,15 +211,8 @@ def cmd_verify(args) -> int:
     if not names:
         raise InvalidParams("pass --all or --names")
     order_tol = args.tol if args.tol is not None else catalog.ORDER_TOL
-
-    def one(name):
-        return catalog.verify_all(only=[name], order_tol=order_tol)[0]
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(one, names))
-    else:
-        results = [one(n) for n in names]
+    results = [catalog.verify_all(only=[n], order_tol=order_tol)[0]
+               for n in names]
     payload = [{"name": r["name"], "passed": r["passed"],
                 "report": r["report"].to_json_dict()} for r in results]
     text = _json_dumps(payload)
@@ -340,17 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="minkflow",
         description="curvature flow of space-like curves in the "
                     "split-signature plane")
-    ap.add_argument("--config", help="JSON file with defaults for the "
+    ap.add_argument("--config", help="JSON file of option values for the "
                                      "chosen subcommand")
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--tol", type=float, default=None,
                     help="tolerance override where the subcommand uses one")
     # The global flags are accepted after the subcommand as well; the
     # SUPPRESS defaults keep them from clobbering values parsed earlier.
     common = argparse.ArgumentParser(add_help=False)
     for flag, kw in (("--config", {}), ("--out", {}),
-                     ("--jobs", {"type": int}), ("--tol", {"type": float})):
+                     ("--tol", {"type": float})):
         common.add_argument(flag, default=argparse.SUPPRESS, **kw)
     sub = ap.add_subparsers(dest="command", required=True,
                             parser_class=lambda **kw: argparse.ArgumentParser(
@@ -419,17 +423,55 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_value(action, val):
+    """A --config value as the option would parse it from the command line."""
+    def one(v):
+        text = v if isinstance(v, str) else json.dumps(v)
+        out = action.type(text) if action.type else text
+        if action.choices is not None and out not in action.choices:
+            raise ValueError(f"not one of {list(action.choices)}")
+        return out
+
+    if action.nargs == 0:  # a flag
+        if not isinstance(val, bool):
+            raise ValueError("expected true or false")
+        return val
+    if isinstance(action.nargs, int):
+        if not isinstance(val, list) or len(val) != action.nargs:
+            raise ValueError(f"expected a list of {action.nargs} values")
+        return [one(v) for v in val]
+    return one(val)
+
+
+def _apply_config(ap, args):
+    """Set the chosen subcommand's options from the --config JSON object."""
+    with open(args.config) as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        raise InvalidParams("--config must hold a JSON object")
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in sub.choices[args.command]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    for key, val in values.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise InvalidParams(
+                f"--config key {key!r} is not an option of {args.command}; "
+                f"expected one of {sorted(options)}")
+        try:
+            setattr(args, action.dest, _config_value(action, val))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"--config key {key!r} has a bad value "
+                                f"{val!r}: {exc}") from None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        for key, val in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr):
-                setattr(args, attr, val)
     try:
+        if args.config:
+            _apply_config(ap, args)
         return args.func(args)
     except UnknownSolution as exc:
         print(f"UnknownSolution: {exc}", file=sys.stderr)

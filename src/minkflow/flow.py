@@ -64,6 +64,10 @@ class FlowGrid:
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.nodes.ndim != 1 or self.values.shape != self.nodes.shape:
+            raise ValueError(
+                "flow grid nodes and values must be 1-D and equally long, "
+                f"got shapes {self.nodes.shape} and {self.values.shape}")
         if len(self.nodes) < 5:
             raise ValueError("flow grid needs at least 5 nodes")
         for name in ("nodes", "values", "t"):
@@ -395,20 +399,12 @@ class ClosedForm:
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.shape(pts)).copy()
 
-    def derivative(self, order: int = 1) -> Callable:
-        """Exact spatial derivative as a vectorized callable."""
+    def derivative(self, order: int = 1) -> "ClosedForm":
+        """Exact spatial derivative, built once per order."""
         if order not in self._dfns:
-            d = sp.diff(self.expr, self.space, order)
-            self._dfns[order] = sp.lambdify((self.space, self.time), d,
-                                            modules="numpy")
-        fn = self._dfns[order]
-
-        def call(pts, t):
-            out = fn(np.asarray(pts, dtype=float), t)
-            return np.broadcast_to(np.asarray(out, dtype=float),
-                                   np.shape(pts)).copy()
-
-        return call
+            self._dfns[order] = ClosedForm(
+                sp.diff(self.expr, self.space, order), self.space, self.time)
+        return self._dfns[order]
 
     def __repr__(self):
         return f"ClosedForm({self.name or self.expr})"

@@ -273,9 +273,9 @@ def support_functions(curve: Curve) -> np.ndarray:
 
 
 def reconstruct_positions(tau, nu, theta) -> np.ndarray:
-    """Positions X = (tau - h*nu) e^{h*theta}; shape (n, 2)."""
-    ch, sh = np.cosh(theta), np.sinh(theta)
-    return np.column_stack([tau * ch - nu * sh, tau * sh - nu * ch])
+    """Positions X = (tau - h*nu) e^{h*theta}; shape (n, 2).  The support
+    map (x, y) -> (tau, nu) is its own inverse."""
+    return np.column_stack(_support_from_frame(tau, nu, theta))
 
 
 def reflect_swap(curve: Curve) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateSpiral, InvalidParams
-from .geometry import Curve, _rebase
+from .geometry import Curve, _rebase, _support_from_frame
 from .selfsim import MotionLaw
 
 
@@ -66,8 +66,7 @@ class EuclideanCurve:
 
 
 def _mink_curve(s, x, y, theta, k) -> Curve:
-    ch, sh = np.cosh(theta), np.sinh(theta)
-    return Curve(s, x, y, theta, k, x * ch - y * sh, x * sh - y * ch)
+    return Curve(s, x, y, theta, k, *_support_from_frame(x, y, theta))
 
 
 def make_invariant_curve(spec: InvariantCurveSpec, s_span: tuple,

@@ -25,7 +25,8 @@ from scipy.integrate import quad, solve_ivp
 
 from .errors import (BranchContainsRoot, Inconclusive, InvalidParams,
                      NoInvariantKnown, TimeLikeBranch)
-from .geometry import (SLOPE_TOL, Curve, CurveSample, _rebase,
+from .geometry import (SLOPE_TOL, Curve, CurveSample, _graph_curve,
+                       _lightcone_curve, _rebase, _support_from_frame,
                        reconstruct_positions)
 from .hyperbolic import HyperbolicNumber
 
@@ -192,11 +193,6 @@ class Trajectory:
     def s_span(self) -> tuple[float, float]:
         return (float(self.s[0]), float(self.s[-1]))
 
-    def state_at_index(self, i: int) -> tuple[float, float]:
-        if self.chart is Chart.TAU_NU:
-            return (float(self.tau[i]), float(self.nu[i]))
-        return (float(self.k[i]), float(self.l[i]))
-
 
 def _phase_rhs(p: SolitonParams, chart: Chart):
     a, b = p.a, p.b
@@ -259,33 +255,23 @@ def _sample_times(t_last: float, n: int) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
-def _integrate_side(rhs, events, u0, s_max, rtol, atol, n, method="DOP853",
-                    jac=None):
-    if s_max == 0.0:
-        ev = {"blowup": None, "xi": [], "eta": [], "inflection": []}
-        return (np.array([0.0]), np.array(u0, float)[:, None], ev, False)
-    kw = {"jac": jac} if (jac is not None and method in ("Radau", "BDF", "LSODA")) else {}
-    sol = solve_ivp(rhs, (0.0, s_max), u0, method=method,
-                    events=events, rtol=rtol, atol=atol, dense_output=True,
-                    **kw)
-    s_last = float(sol.t[-1])
-    ts = _sample_times(s_last, n)
-    blew_up = len(sol.t_events[0]) > 0
-    if blew_up and s_last > 0:
-        # Resolve the divergence for curvature-limit detection; offsets
-        # are absolute (pole width is O(1/|state|)) but stay above the
-        # float spacing of s_last.
-        base = max(1e-9, 64.0 * np.finfo(float).eps * s_last)
-        near = s_last - base * np.array([100.0, 10.0, 1.0])
-        ts = np.unique(np.concatenate([ts, near, [s_last]]))
-    samples = sol.sol(ts) if s_last > 0 else np.array(u0, float)[:, None]
-    ev = {
-        "blowup": float(sol.t_events[0][0]) if blew_up else None,
-        "xi": [float(t) for t in sol.t_events[1]],
-        "eta": [float(t) for t in sol.t_events[2]],
-        "inflection": [float(t) for t in sol.t_events[3]],
-    }
-    return ts, samples, ev, blew_up
+def _both_ways(solve_side, rhs, spans, jac=None):
+    """Solve u' = rhs(x, u) from x = 0 out to both ends; stitch at x = 0.
+
+    ``solve_side(f, jac, span)`` integrates u' = f(x, u) over [0, span]
+    and returns (grid, states, info).  The forward side, out to spans[1],
+    is solved first; the backward side, out to -spans[0], as the mirrored
+    problem u' = -rhs(-x, u).  Returns the stitched grid and states, with
+    x = 0 kept once, and the forward and backward infos.
+    """
+    grid_f, states_f, fwd = solve_side(rhs, jac, spans[1])
+    back_jac = None if jac is None else (
+        lambda x, u: [[-c for c in row] for row in jac(-x, u)])
+    grid_b, states_b, bwd = solve_side(
+        lambda x, u: tuple(-r for r in rhs(-x, u)), back_jac, spans[0])
+    grid = np.concatenate([-grid_b[::-1], grid_f[1:]])
+    states = np.concatenate([states_b[:, ::-1], states_f[:, 1:]], axis=1)
+    return grid, states, fwd, bwd
 
 
 def _detect_fixed_point(p, chart, states_tail) -> tuple | None:
@@ -332,48 +318,59 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
         atol = np.array([atol, min(atol, 1e-290), atol])
 
     rhs, jac = _phase_rhs(p, chart)
-    fwd = _integrate_side(rhs, _phase_events(p, chart, blowup_threshold),
-                          u0, s_fwd, rtol, atol, n_per_side, method, jac)
-    back_rhs = lambda s, u: tuple(-v for v in rhs(s, u))
-    back_jac = lambda s, u: [[-c for c in row] for row in jac(s, u)]
-    bwd = _integrate_side(back_rhs, _phase_events(p, chart, blowup_threshold),
-                          u0, s_back, rtol, atol, n_per_side, method, back_jac)
+    events = _phase_events(p, chart, blowup_threshold)
+    if method not in ("Radau", "BDF", "LSODA"):
+        jac = None
 
-    sb, ub, evb, blew_b = bwd
-    sf, uf, evf, blew_f = fwd
-    s = np.concatenate([-sb[::-1], sf[1:]])
-    states = np.concatenate([ub[:, ::-1], uf[:, 1:]], axis=1)
+    def side(f, j, span):
+        """Samples, events and end of one side, out to |s| = span."""
+        # An empty side reports no events, not the ones sitting at s = 0.
+        sol = None if span == 0.0 else solve_ivp(
+            f, (0.0, span), u0, method=method, events=events, rtol=rtol,
+            atol=atol, dense_output=True, **({} if j is None else {"jac": j}))
+        s_last = 0.0 if sol is None else float(sol.t[-1])
+        t_events = [()] * 4 if sol is None else sol.t_events
+        ts = _sample_times(s_last, n_per_side)
+        blowup, xi, eta, inflection = ([float(t) for t in t_ev]
+                                       for t_ev in t_events)
+        if blowup and s_last > 0:
+            # Resolve the divergence for curvature-limit detection; offsets
+            # are absolute (pole width is O(1/|state|)) but stay above the
+            # float spacing of s_last.
+            base = max(1e-9, 64.0 * np.finfo(float).eps * s_last)
+            near = s_last - base * np.array([100.0, 10.0, 1.0])
+            ts = np.unique(np.concatenate([ts, near, [s_last]]))
+        samples = sol.sol(ts) if s_last > 0 else np.array(u0, float)[:, None]
+        fp = None if blowup else _detect_fixed_point(p, chart,
+                                                     samples[:2, -100:])
+        end = {"kind": "blowup" if blowup else
+                       "unresolved" if fp is None else "fixed_point",
+               "fixed_point": fp}
+        return ts, samples, {"blowup": blowup[0] if blowup else None,
+                             "xi": xi, "eta": eta, "inflection": inflection,
+                             "end": end}
 
-    def _dedupe(values):
+    s, states, evf, evb = _both_ways(side, rhs, (s_back, s_fwd), jac)
+
+    def merged(key):
+        """Both sides' event parameters on the s axis, sorted, with
+        repeats closer than 1e-9 dropped."""
         out = []
-        for v in sorted(values):
+        for v in sorted([-t for t in evb[key]] + evf[key]):
             if not out or abs(v - out[-1]) > 1e-9:
                 out.append(v)
         return out
 
-    crossings = []
-    for axis, key in (("xi", "xi"), ("eta", "eta")):
-        ss_axis = _dedupe([-t for t in evb[key]] + list(evf[key]))
-        crossings += [{"axis": axis, "s": s_c} for s_c in ss_axis]
+    crossings = [{"axis": axis, "s": s_c}
+                 for axis in ("xi", "eta") for s_c in merged(axis)]
     events = {
-        "blowups": ([-evb["blowup"]] if evb["blowup"] is not None else [])
-                   + ([evf["blowup"]] if evf["blowup"] is not None else []),
+        "blowups": [sign * ev["blowup"] for sign, ev in ((-1.0, evb),
+                                                          (1.0, evf))
+                    if ev["blowup"] is not None],
         "crossings": sorted(crossings, key=lambda e: e["s"]),
-        "inflections": _dedupe([-t for t in evb["inflection"]]
-                               + list(evf["inflection"])),
+        "inflections": merged("inflection"),
     }
-
-    ends = {}
-    for side, (blew, samples) in (("backward", (blew_b, ub)),
-                                  ("forward", (blew_f, uf))):
-        tail = samples[:2, -min(100, samples.shape[1]):]
-        fp = None if blew else _detect_fixed_point(p, chart, tail)
-        ends[side] = {
-            "kind": "blowup" if blew else
-                    ("fixed_point" if fp is not None else "unresolved"),
-            "fixed_point": fp,
-        }
-
+    ends = {"backward": evb["end"], "forward": evf["end"]}
     if chart is Chart.TAU_NU:
         tau, nu, theta = states
         k, l = kl_from_taunu(p, tau, nu)
@@ -423,41 +420,25 @@ def integrate_graph(p: SolitonParams, y0: float, yp0: float,
         return abs(u[1]) - (1.0 - SLOPE_TOL)
     light.terminal = True
 
-    events_log = []
-    sides = {}
-    for sign in (+1.0, -1.0):
-        f = rhs if sign > 0 else (lambda x, u: tuple(-r for r in rhs(-x, u)))
-        sol = solve_ivp(f, (0.0, x_max), (y0, yp0, 0.0), method="DOP853",
+    def side(f, _, span):
+        sol = solve_ivp(f, (0.0, span), (y0, yp0, 0.0), method="DOP853",
                         events=light, rtol=rtol, atol=atol, dense_output=True)
-        reach = float(sol.t[-1])
+        xs = np.linspace(0.0, float(sol.t[-1]), n)
+        return xs, sol.sol(xs), sol
+
+    # The backward co-integrated arc length is already negative.
+    x, (y, v, s), fwd, bwd = _both_ways(side, rhs, (x_max, x_max))
+    events = []
+    for sign, sol in ((1.0, fwd), (-1.0, bwd)):
         if len(sol.t_events[0]):
             xe = sign * float(sol.t_events[0][0])
-            ye, ve = sol.sol(abs(xe))[0], sol.sol(abs(xe))[1]
-            line_sign = 1.0 if ve > 0 else -1.0
-            events_log.append({
-                "event": "light_like_asymptote", "x": xe,
-                "line": {"slope": line_sign, "offset": float(ye - line_sign * xe)},
-            })
-        xs = np.linspace(0.0, reach, n)
-        sides[sign] = (xs, sol.sol(xs))
-
-    xs_f, uf = sides[1.0]
-    xs_b, ub = sides[-1.0]
-    x = np.concatenate([-xs_b[::-1], xs_f[1:]])
-    y = np.concatenate([ub[0, ::-1], uf[0, 1:]])
-    v = np.concatenate([ub[1, ::-1], uf[1, 1:]])
-    # The backward co-integrated arc length is already negative.
-    s = np.concatenate([ub[2, ::-1], uf[2, 1:]])
-    ypp_vals = np.array([ypp(xi, yi, vi) for xi, yi, vi in zip(x, y, v)])
-
-    one_minus = (1.0 - v) * (1.0 + v)
-    theta = np.arctanh(v)
-    k = ypp_vals / one_minus ** 1.5
-    ch, sh = np.cosh(theta), np.sinh(theta)
-    curve = Curve(_rebase(s, x), x, y, theta, k,
-                  x * ch - y * sh, x * sh - y * ch)
-    curve.events["light_like_asymptote"] = [
-        e for e in events_log if e["event"] == "light_like_asymptote"]
+            ye, ve = sol.sol(abs(xe))[:2]
+            slope = 1.0 if ve > 0 else -1.0
+            events.append({"event": "light_like_asymptote", "x": xe,
+                           "line": {"slope": slope,
+                                    "offset": float(ye - slope * xe)}})
+    curve = _graph_curve(x, y, v, ypp(x, y, v), s=s)
+    curve.events["light_like_asymptote"] = events
     return curve
 
 
@@ -483,7 +464,6 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
     # (with relative error control) keeps the invariant representable
     # where reconstructing it from (xi, xi') would cancel to noise.
     screw_trans = (a == 1.0 and b == 1.0 and d1 == 0.0 and d2 == 1.0)
-    atol_vec = atol
     if screw_trans:
         def rhs(eta, u):
             xi, delta, _ = u
@@ -492,7 +472,7 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
 
         def slope(u):
             return 2.0 * (u[0] - 1.0 + u[1])
-        atol_vec = np.array([atol, min(atol, 1e-290), atol])
+        atol = np.array([atol, min(atol, 1e-290), atol])
     else:
         def xipp(eta, xi, w):
             return w * ((a + b) * xi + (a - b) * eta * w + d1 - d2 * w)
@@ -514,50 +494,34 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
 
     u0 = ((xi0, 0.5 * xip0 - xi0 + 1.0, 0.0) if screw_trans
           else (xi0, xip0, 0.0))
-    events_log = []
-    sides = {}
-    for sign, span in ((+1.0, hi), (-1.0, -lo)):
-        f = rhs if sign > 0 else (lambda e, u: tuple(-r for r in rhs(-e, u)))
-        sol = solve_ivp(f, (0.0, span), u0, method="DOP853",
-                        events=[degenerate, blowup], rtol=rtol, atol=atol_vec,
-                        dense_output=True)
-        reach = float(sol.t[-1])
-        if len(sol.t_events[1]):
-            events_log.append({"event": "blowup",
-                               "eta": sign * float(sol.t_events[1][0])})
-        if len(sol.t_events[0]):
-            events_log.append({"event": "degenerate_slope",
-                               "eta": sign * float(sol.t_events[0][0])})
-        etas = np.linspace(0.0, reach, n)
-        sides[sign] = (etas, sol.sol(etas))
 
-    etas_f, uf = sides[1.0]
-    etas_b, ub = sides[-1.0]
-    eta = np.concatenate([-etas_b[::-1], etas_f[1:]])
-    xi = np.concatenate([ub[0, ::-1], uf[0, 1:]])
-    aux = np.concatenate([ub[1, ::-1], uf[1, 1:]])
-    s = np.concatenate([ub[2, ::-1], uf[2, 1:]])
+    def side(f, _, span):
+        sol = solve_ivp(f, (0.0, span), u0, method="DOP853",
+                        events=[degenerate, blowup], rtol=rtol, atol=atol,
+                        dense_output=True)
+        etas = np.linspace(0.0, float(sol.t[-1]), n)
+        return etas, sol.sol(etas), sol
+
+    eta, (xi, aux, s), fwd, bwd = _both_ways(side, rhs, (-lo, hi))
+    events = []
+    for sign, sol in ((1.0, fwd), (-1.0, bwd)):
+        for i, name in ((1, "blowup"), (0, "degenerate_slope")):
+            if len(sol.t_events[i]):
+                events.append({"event": name,
+                               "eta": sign * float(sol.t_events[i][0])})
     if screw_trans:
-        delta = aux
-        w = 2.0 * (xi - 1.0 + delta)
-        xipp_vals = 2.0 * w * (1.0 - delta)
+        w = 2.0 * (xi - 1.0 + aux)
+        xipp_vals = 2.0 * w * (1.0 - aux)
     else:
         w = aux
-        xipp_vals = np.array([xipp(e, q, wi) for e, q, wi in zip(eta, xi, w)])
+        xipp_vals = xipp(eta, xi, w)
     # Keep samples strictly space-like (the terminal node may sit on it).
     keep = w > 0.0
-    eta, xi, w, s = eta[keep], xi[keep], w[keep], s[keep]
-    xipp_vals = xipp_vals[keep]
-
-    theta = 0.5 * np.log(w)
-    k = xipp_vals / (2.0 * w ** 1.5)
-    x, y = (xi + eta) / 2.0, (xi - eta) / 2.0
-    ch, sh = np.cosh(theta), np.sinh(theta)
-    curve = Curve(_rebase(s, eta), x, y, theta, k,
-                  x * ch - y * sh, x * sh - y * ch)
-    curve.events["lightcone"] = events_log
+    curve = _lightcone_curve(eta[keep], xi[keep], w[keep], xipp_vals[keep],
+                             s=s[keep])
+    curve.events["lightcone"] = events
     if screw_trans:
-        curve.events["screw_delta"] = delta[keep]
+        curve.events["screw_delta"] = aux[keep]
     return curve
 
 
@@ -566,9 +530,7 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
 
 
 def _invariant_name(p: SolitonParams) -> str:
-    if p.a == 0.0 and p.b > 0.0 and not p.has_translation:
-        return "nu^2 exp(b(tau^2-nu^2))"
-    if p.a == 0.0 and p.b < 0.0 and not p.has_translation:
+    if p.a == 0.0 and abs(p.b) > 0.0 and not p.has_translation:
         return "nu^2 exp(b(tau^2-nu^2))"
     if p.b == 0.0 and p.a != 0.0 and not p.has_translation:
         return "a(tau^2-nu^2) - 2 theta"
@@ -880,9 +842,8 @@ def screw_translate_curve(A: float, branch: int = -1,
     theta = 0.5 * np.log(w)
     k = (1.0 - A * np.exp(-xis)) / np.sqrt(w)
     x, y = (xis + eta) / 2.0, (xis - eta) / 2.0
-    ch, sh = np.cosh(theta), np.sinh(theta)
     curve = Curve(_rebase(s, eta), x, y, theta, k,
-                  x * ch - y * sh, x * sh - y * ch)
+                  *_support_from_frame(x, y, theta))
     curve.events["screw_translate"] = {
         "A": A, "branch_interval": (lo, hi),
         "roots": screw_roots(A),

@@ -97,6 +97,22 @@ class TestEvolveCommand:
         assert code == 3
         assert "DegenerateSlope" in capsys.readouterr().err
 
+    def test_euclidean_entry_refused(self, tmp_path, capsys):
+        code = run(["evolve", "euclid-reaper", "--t0", "0", "--t1", "0.5",
+                    "--window", "-0.5", "0.5", "--dx", "0.02",
+                    "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "euclid-reaper is a euclidean entry" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_non_positive_dx(self, tmp_path, capsys):
+        for dx in ("-0.01", "0", "nan"):
+            code = run(["evolve", "hyperbola-expander", "--t0", "0.5",
+                        "--t1", "0.6", "--dx", dx, "--out", str(tmp_path)])
+            assert code == 2
+            assert "--dx must be positive" in capsys.readouterr().err
+
     def test_non_positive_dt(self, tmp_path, capsys):
         code = run(["evolve", "hyperbola-expander", "--t0", "0.5",
                     "--t1", "0.6", "--dt", "0", "--out", str(tmp_path)])
@@ -173,11 +189,6 @@ class TestVerifyCommand:
             "translator-y", "euclid-reaper", "interp-tan"]
         assert all(p["passed"] for p in payload)
 
-    def test_jobs_flag(self, tmp_path, capsys):
-        code = run(["verify", "--names", "translator-y,translator-x",
-                    "--jobs", "2", "--out", str(tmp_path / "v")])
-        assert code == 0
-
 
 class TestInvariantCommand:
     def test_make_and_check(self, tmp_path, capsys):
@@ -240,3 +251,42 @@ def test_lengths_all_series(tmp_path, capsys):
     rows = (out / "lengths.csv").read_text().splitlines()
     series = {r.split(",")[0] for r in rows[1:]}
     assert series == set("ABCDEF")
+
+
+class TestConfigFile:
+    def run_config(self, tmp_path, values, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        return run(["--config", str(cfg), *argv])
+
+    def test_unknown_key(self, tmp_path, capsys):
+        for key in ("func", "command", "points"):
+            code = self.run_config(tmp_path, {key: 1},
+                                   ["classify", "--a", "0", "--b", "1"])
+            assert code == 2
+            assert f"--config key {key!r} is not an option of classify" \
+                in capsys.readouterr().err
+
+    def test_bad_value(self, tmp_path, capsys):
+        argv = ["evolve", "hyperbola-expander", "--t0", "0.5", "--t1", "0.6",
+                "--out", str(tmp_path / "o")]
+        for key, val in (("dx", "abc"), ("dx", None), ("window", 1.0),
+                         ("window", [-1, "x"]), ("kind", "nope"),
+                         ("snapshots", 2.5), ("boundary", True)):
+            assert self.run_config(tmp_path, {key: val}, argv) == 2
+            assert f"--config key {key!r} has a bad value" \
+                in capsys.readouterr().err
+        assert self.run_config(tmp_path, {"all": "yes"}, ["verify"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_values_coerced(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = self.run_config(
+            tmp_path, {"window": [-1, 1], "dx": 0.05, "snapshots": "2",
+                       "t1": 0.52, "out": str(out)},
+            ["evolve", "hyperbola-expander", "--t0", "0.5", "--t1", "9"])
+        assert code == 0
+        capsys.readouterr()
+        rows = (out / "snapshot_001.csv").read_text().splitlines()
+        assert rows[0] == "# t=0.52000000000000002"
+        assert len(rows) == 2 + 41

@@ -75,6 +75,13 @@ class TestStep:
         with pytest.raises(ValueError, match="t must be finite"):
             FlowGrid(FlowKind.GRAPH_Y, nodes, 0.3 * nodes, math.nan)
 
+    def test_nodes_and_values_lengths_checked(self):
+        nodes = np.linspace(-1, 1, 11)
+        with pytest.raises(ValueError, match=r"equally long.*\(11,\).*\(9,\)"):
+            FlowGrid(FlowKind.GRAPH_Y, nodes, np.zeros(9))
+        with pytest.raises(ValueError, match="1-D"):
+            FlowGrid(FlowKind.GRAPH_Y, nodes[:, None], np.zeros((11, 1)))
+
 
 @pytest.mark.parametrize("kind, profile", [
     (FlowKind.GRAPH_Y, lambda u: np.sqrt(u * u + 1.0)),

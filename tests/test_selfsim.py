@@ -253,6 +253,58 @@ class TestLightconeRoute:
         assert np.all(np.diff(vals) <= 1e-12)
 
 
+def _assert_stitched(grid):
+    assert np.all(np.diff(grid) > 0.0)
+    assert np.count_nonzero(grid == 0.0) == 1
+
+
+class TestBothWays:
+    """Each route solves forward, then the mirrored problem backward, and
+    stitches the sides at 0; a symmetric problem gives mirror halves."""
+
+    def test_phase(self):
+        # tau' = 1 + nu^2, nu' = tau nu from tau = 0: tau and theta are odd
+        # in s, nu is even
+        traj = ss.integrate_phase(SolitonParams(0.0, -1.0), Chart.TAU_NU,
+                                  (0.0, 1.0), s_max=20.0)
+        _assert_stitched(traj.s)
+        np.testing.assert_array_equal(traj.s[::-1], -traj.s)
+        np.testing.assert_array_equal(traj.tau[::-1], -traj.tau)
+        np.testing.assert_array_equal(traj.nu[::-1], traj.nu)
+        np.testing.assert_array_equal(traj.theta[::-1], -traj.theta)
+        back, fwd = traj.events["blowups"]
+        assert back == -fwd < 0.0
+        one_sided = ss.integrate_phase(SolitonParams(1.0, 0.0), Chart.TAU_NU,
+                                       (0.0, 0.5), s_max=(0.0, 3.0))
+        _assert_stitched(one_sided.s)
+        assert one_sided.s[0] == 0.0
+
+    def test_graph(self):
+        c = ss.integrate_graph(SolitonParams(0.0, -1.0), -1.0, 0.0, 40.0)
+        _assert_stitched(c.x)
+        np.testing.assert_array_equal(c.x[::-1], -c.x)
+        np.testing.assert_array_equal(c.y[::-1], c.y)
+        np.testing.assert_array_equal(c.theta[::-1], -c.theta)
+        np.testing.assert_array_equal(c.k[::-1], c.k)
+        np.testing.assert_array_equal(c.s[::-1], -c.s)
+        fwd, back = c.events["light_like_asymptote"]
+        assert fwd["x"] == -back["x"] > 0.0
+        assert fwd["line"]["offset"] == back["line"]["offset"]
+
+    def test_lightcone(self):
+        # xi'' = xi' (xi + eta xi') from xi = 0: xi is odd in eta
+        c = ss.integrate_lightcone(SolitonParams(1.0, 0.0), 0.0, 1.0,
+                                   (-3.0, 3.0))
+        _assert_stitched(c.eta)
+        np.testing.assert_array_equal(c.x[::-1], -c.x)
+        np.testing.assert_array_equal(c.y[::-1], -c.y)
+        np.testing.assert_array_equal(c.theta[::-1], c.theta)
+        np.testing.assert_array_equal(c.k[::-1], -c.k)
+        fwd, back = c.events["lightcone"]
+        assert fwd["event"] == back["event"] == "blowup"
+        assert fwd["eta"] == -back["eta"] > 0.0
+
+
 class TestConservedQuantities:
     def test_expansion_separatrix_value(self):
         p = SolitonParams(0.0, 1.0)
