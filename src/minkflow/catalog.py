@@ -1,10 +1,13 @@
 """Registry of closed-form flow solutions.
 
 Twelve solutions of the split-signature flow and four of the Euclidean
-curve-shortening flow, each stored as a sympy expression for the graph
-variable.  Expressions give exact derivatives, so residual verification,
-curvature-profile checks and length computation all run against the true
-closed form rather than a resampled approximation.
+curve-shortening flow, each stored as the source text of a sympy
+expression for the graph variable (``x``, or eta for lightcone entries)
+and time ``t``.  The text is parsed and lambdified on first use, so
+listing or looking up entries never imports sympy.  Expressions give
+exact derivatives, so residual verification, curvature-profile checks and
+length computation all run against the true closed form rather than a
+resampled approximation.
 
 Canonical names: translator-y, translator-x, translator-xi,
 hyperbola-expander, screw-tanh, screw-tan, screw-coth, oval-coshcosh,
@@ -19,15 +22,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import sympy as sp
-from scipy.integrate import tanhsinh
 
 from .errors import InfiniteLength, NoProfile, UnknownSolution
 from .flow import ClosedForm, FlowKind, Plane, ResidualReport, residual
-
-_X = sp.Symbol("x", real=True)       # x or eta, depending on kind
-_T = sp.Symbol("t", real=True)
-_TH = sp.Symbol("theta", real=True)
 
 DEFAULT_LEVELS = (0.02, 0.01, 0.005)
 ORDER_TARGET, ORDER_TOL = 2.0, 0.3
@@ -61,71 +58,73 @@ class ExactSolution:
     def sampler(self, pts, t):
         return self.form(pts, t)
 
-    def length(self, t: float) -> float:
-        """Minkowski length at time t from the exact slope.
+    def length(self, t):
+        """Minkowski length at time t (a float, or an array of times).
 
         graph_y entries integrate sqrt(1 - y'^2), lightcone entries
         sqrt(xi'), over length_bounds (default: the +-20 truncation).
         Double-exponential quadrature absorbs the inverse-square-root
-        endpoint behaviour of entries that end on the light cone.
+        endpoint behaviour of entries that end on the light cone; an
+        array of times is integrated in one vectorized call.
         """
         if not self.finite_length:
             raise InfiniteLength(f"{self.name} has no finite Minkowski length")
+        from scipy.integrate import tanhsinh
         d1 = self.form.derivative(1)
         if self.kind is FlowKind.GRAPH_Y:
-            def integrand(u):
+            def integrand(u, t):
                 v = d1(u, t)
                 return np.sqrt(np.maximum(0.0, (1.0 - v) * (1.0 + v)))
         else:
-            def integrand(u):
+            def integrand(u, t):
                 return np.sqrt(np.maximum(0.0, d1(u, t)))
-        lo, hi = (self.length_bounds or (lambda _: (-20.0, 20.0)))(t)
-        res = tanhsinh(integrand, lo, hi, atol=1e-11, rtol=1e-11)
-        return float(res.integral)
+        ts = np.asarray(t, dtype=float)
+        bounds = self.length_bounds or (lambda _: (-20.0, 20.0))
+        lo, hi = np.vectorize(bounds, otypes=[float, float])(ts)
+        res = tanhsinh(integrand, lo, hi, args=(ts,), atol=1e-11, rtol=1e-11)
+        return float(res.integral) if ts.ndim == 0 else res.integral
 
 
 def _entry(name, plane, kind, t_domain, expr, times, window, finite,
            profile, notes, wick_partner=None, length_bounds=None):
-    form = ClosedForm(expr, _X, _T, name=name)
+    form = ClosedForm(expr, "x", "t", name=name)
     return ExactSolution(name, plane, kind, t_domain, form, times,
                          window if callable(window) else (lambda t, w=window: w),
                          finite, profile, notes, wick_partner, length_bounds)
 
 
 def _profile(expr, t_domain, times, window):
-    return CurvatureProfile(ClosedForm(expr, _TH, _T, name="k"),
+    return CurvatureProfile(ClosedForm(expr, "theta", "t", name="k"),
                             t_domain, times,
                             window if callable(window) else (lambda t, w=window: w))
 
 
 def _build_registry() -> dict:
     inf = math.inf
-    x, t = _X, _T
-    th = _TH
     entries = [
         _entry(
             "translator-y", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, inf),
-            t + sp.log(sp.cosh(x)),
+            "t + log(cosh(x))",
             times=(-0.4, 0.1, 0.8), window=(-2.0, 2.0), finite=True,
-            profile=_profile(sp.cosh(th), (-inf, inf), (-0.5, 0.0, 0.5),
+            profile=_profile("cosh(theta)", (-inf, inf), (-0.5, 0.0, 0.5),
                              (-2.0, 2.0)),
             notes=("rises along the y-axis at unit speed; length pi at "
                    "every t and k*cos(s) = 1 along the curve"),
         ),
         _entry(
             "translator-x", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, inf),
-            sp.asinh(sp.exp(t - x)),
+            "asinh(exp(t - x))",
             times=(-0.3, 0.0, 0.4), window=(-2.0, 2.5), finite=False,
-            profile=_profile(-sp.sinh(th), (-inf, inf), (-0.5, 0.0, 0.5),
+            profile=_profile("-sinh(theta)", (-inf, inf), (-0.5, 0.0, 0.5),
                              (-2.5, -0.3)),
             notes=("slides along the x-axis; one end of finite length, "
                    "the other infinite with k = 1/sinh(s)"),
         ),
         _entry(
             "translator-xi", Plane.MINKOWSKI, FlowKind.LIGHTCONE, (-inf, inf),
-            sp.exp(x) + t,
+            "exp(x) + t",
             times=(-0.5, 0.2, 1.0), window=(-2.0, 2.0), finite=False,
-            profile=_profile(sp.exp(-th), (-inf, inf), (-0.5, 0.0, 0.5),
+            profile=_profile("exp(-theta)", (-inf, inf), (-0.5, 0.0, 0.5),
                              (-2.0, 2.0)),
             notes=("translates along the xi diagonal with k = 1/s, s > 0; "
                    "also arises as the A=0 screw-translation curve"),
@@ -133,17 +132,17 @@ def _build_registry() -> dict:
         _entry(
             "hyperbola-expander", Plane.MINKOWSKI, FlowKind.GRAPH_Y,
             (0.0, inf),
-            sp.sqrt(x * x + 2 * t),
+            "sqrt(x*x + 2*t)",
             times=(0.5, 1.0, 2.0), window=(-1.5, 1.5), finite=False,
-            profile=_profile(1 / sp.sqrt(2 * t), (0.0, inf), (0.5, 1.0, 2.0),
+            profile=_profile("1/sqrt(2*t)", (0.0, inf), (0.5, 1.0, 2.0),
                              (-2.0, 2.0)),
             notes="constant-curvature arc expanding from the light cone",
         ),
         _entry(
             "screw-tanh", Plane.MINKOWSKI, FlowKind.LIGHTCONE, (-inf, 0.5),
-            (1 - 2 * t) * sp.tanh(x),
+            "(1 - 2*t)*tanh(x)",
             times=(-0.5, 0.0, 0.3), window=(-2.0, 2.0), finite=True,
-            profile=_profile(sp.sqrt(sp.exp(-2 * th) + 1 / (2 * t)),
+            profile=_profile("sqrt(exp(-2*theta) + 1/(2*t))",
                              (-inf, 0.0), (-1.5, -0.8, -0.52),
                              lambda t: (0.5 * math.log(-2.0 * t) - 4.0,
                                         0.5 * math.log(-2.0 * t) - 0.2)),
@@ -152,9 +151,9 @@ def _build_registry() -> dict:
         ),
         _entry(
             "screw-tan", Plane.MINKOWSKI, FlowKind.LIGHTCONE, (-0.5, inf),
-            (1 + 2 * t) * sp.tan(x),
+            "(1 + 2*t)*tan(x)",
             times=(-0.2, 0.5, 1.5), window=(-1.2, 1.2), finite=False,
-            profile=_profile(sp.sqrt(-sp.exp(-2 * th) + 1 / (2 * t)),
+            profile=_profile("sqrt(-exp(-2*theta) + 1/(2*t))",
                              (0.0, inf), (0.3, 0.8, 1.5),
                              lambda t: (0.5 * math.log(2.0 * t) + 0.2,
                                         0.5 * math.log(2.0 * t) + 4.0)),
@@ -162,18 +161,18 @@ def _build_registry() -> dict:
         ),
         _entry(
             "screw-coth", Plane.MINKOWSKI, FlowKind.LIGHTCONE, (-0.5, inf),
-            -(1 + 2 * t) * sp.coth(x),
+            "-(1 + 2*t)*coth(x)",
             times=(-0.2, 0.5, 1.5), window=(-3.0, -0.3), finite=False,
-            profile=_profile(sp.sqrt(sp.exp(-2 * th) + 1 / (2 * t)),
+            profile=_profile("sqrt(exp(-2*theta) + 1/(2*t))",
                              (0.0, inf), (0.3, 0.8, 1.5), (-2.0, 2.0)),
             notes=("boost + expansion on eta < 0; mixed-length ends with "
                    "k = coth(s), s > 0, at t=0"),
         ),
         _entry(
             "oval-coshcosh", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (0.0, inf),
-            sp.acosh(sp.exp(t) * sp.cosh(x)),
+            "acosh(exp(t)*cosh(x))",
             times=(0.5, 1.0, 2.0), window=(-2.0, 2.0), finite=True,
-            profile=_profile(sp.sqrt(sp.cosh(2 * th) + sp.coth(2 * t)),
+            profile=_profile("sqrt(cosh(2*theta) + coth(2*t))",
                              (0.0, inf), (0.3, 0.8, 1.5), (-1.5, 1.5)),
             notes=("upper branch; tracks the expanding hyperbola near t=0 "
                    "and the y-axis translator for large t; length grows "
@@ -181,18 +180,18 @@ def _build_registry() -> dict:
         ),
         _entry(
             "wave-coshsinh", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, inf),
-            sp.asinh(sp.exp(t) * sp.cosh(x)),
+            "asinh(exp(t)*cosh(x))",
             times=(-1.0, 0.0, 1.0), window=(-2.0, 2.0), finite=True,
-            profile=_profile(sp.sqrt(sp.cosh(2 * th) + sp.tanh(2 * t)),
+            profile=_profile("sqrt(cosh(2*theta) + tanh(2*t))",
                              (-inf, inf), (-0.8, 0.0, 0.8), (-1.5, 1.5)),
             notes=("pair of sideways translators merging into the y-axis "
                    "translator; length decreases toward pi"),
         ),
         _entry(
             "wave-sinhsinh", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, 0.0),
-            sp.asinh(sp.exp(t) * sp.sinh(x)),
+            "asinh(exp(t)*sinh(x))",
             times=(-2.0, -1.0, -0.3), window=(-2.0, 2.0), finite=True,
-            profile=_profile(sp.sqrt(sp.cosh(2 * th) + sp.coth(2 * t)),
+            profile=_profile("sqrt(cosh(2*theta) + coth(2*t))",
                              (-inf, 0.0), (-1.5, -0.8, -0.4),
                              lambda t: (0.5 * _acosh_clip(-1.0 / math.tanh(2 * t)) + 0.2,
                                         0.5 * _acosh_clip(-1.0 / math.tanh(2 * t)) + 2.0)),
@@ -201,9 +200,9 @@ def _build_registry() -> dict:
         ),
         _entry(
             "wave-sinsin", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (0.0, inf),
-            sp.asin(sp.exp(-t) * sp.sin(x)),
+            "asin(exp(-t)*sin(x))",
             times=(0.1, 0.15, 0.25), window=(-2.5, 2.5), finite=False,
-            profile=_profile(sp.sqrt(-sp.cosh(2 * th) + 1 / sp.tanh(2 * t)),
+            profile=_profile("sqrt(-cosh(2*theta) + 1/tanh(2*t))",
                              (0.0, inf), (0.1, 0.15, 0.25),
                              lambda t: _sym_window(
                                  0.45 * _acosh_clip(1.0 / math.tanh(2 * t)))),
@@ -213,11 +212,11 @@ def _build_registry() -> dict:
         _entry(
             "interp-tan", Plane.MINKOWSKI, FlowKind.LIGHTCONE,
             (0.0, math.pi / 4),
-            sp.atanh(sp.tan(x) * sp.tan(2 * t)),
+            "atanh(tan(x)*tan(2*t))",
             times=(0.2, math.pi / 8, 0.6),
             window=lambda t: _sym_window(0.75 * (math.pi / 2 - 2.0 * t)),
             finite=True,
-            profile=_profile(sp.sqrt(sp.sinh(2 * th) + 1 / sp.tan(2 * t)),
+            profile=_profile("sqrt(sinh(2*theta) + 1/tan(2*t))",
                              (0.0, math.pi / 2), (0.4, 0.8, 1.2),
                              lambda t: (0.5 * math.asinh(-1.0 / math.tan(2 * t)) + 0.2,
                                         0.5 * math.asinh(-1.0 / math.tan(2 * t)) + 2.5)),
@@ -230,40 +229,40 @@ def _build_registry() -> dict:
         # Euclidean curve-shortening solutions.
         _entry(
             "euclid-circle", Plane.EUCLIDEAN, FlowKind.GRAPH_Y, (-inf, 0.0),
-            sp.sqrt(-2 * t - x * x),
+            "sqrt(-2*t - x*x)",
             times=(-2.0, -1.0, -0.5),
             window=lambda t: _sym_window(0.7 * math.sqrt(-2.0 * t)),
             finite=False,
-            profile=_profile(1 / sp.sqrt(-2 * t), (-inf, 0.0),
+            profile=_profile("1/sqrt(-2*t)", (-inf, 0.0),
                              (-2.0, -1.0, -0.5), (-2.0, 2.0)),
             notes="upper semicircle of the shrinking round solution",
             wick_partner="hyperbola-expander",
         ),
         _entry(
             "euclid-reaper", Plane.EUCLIDEAN, FlowKind.GRAPH_Y, (-inf, inf),
-            sp.log(sp.cos(x)) - t,
+            "log(cos(x)) - t",
             times=(-1.0, 0.0, 1.0), window=(-1.2, 1.2), finite=False,
-            profile=_profile(sp.cos(th), (-inf, inf), (-0.5, 0.0, 0.5),
+            profile=_profile("cos(theta)", (-inf, inf), (-0.5, 0.0, 0.5),
                              (-1.2, 1.2)),
             notes="downward-translating single-arch solution",
             wick_partner="translator-y",
         ),
         _entry(
             "euclid-oval", Plane.EUCLIDEAN, FlowKind.GRAPH_Y, (-inf, 0.0),
-            sp.acosh(sp.exp(-t) * sp.cos(x)),
+            "acosh(exp(-t)*cos(x))",
             times=(-2.0, -1.0, -0.5),
             window=lambda t: _sym_window(0.7 * math.acos(math.exp(t))),
             finite=False,
-            profile=_profile(sp.sqrt(sp.cos(2 * th) - 1 / sp.tanh(2 * t)),
+            profile=_profile("sqrt(cos(2*theta) - 1/tanh(2*t))",
                              (-inf, 0.0), (-2.0, -1.0, -0.5), (-1.0, 1.0)),
             notes="upper half of the shrinking oval (paperclip) solution",
             wick_partner="oval-coshcosh",
         ),
         _entry(
             "euclid-wave", Plane.EUCLIDEAN, FlowKind.GRAPH_Y, (-inf, inf),
-            sp.asinh(sp.exp(-t) * sp.cos(x)),
+            "asinh(exp(-t)*cos(x))",
             times=(-0.5, 0.0, 0.3), window=(-2.0, 2.0), finite=False,
-            profile=_profile(sp.sqrt(sp.cos(2 * th) - sp.tanh(2 * t)),
+            profile=_profile("sqrt(cos(2*theta) - tanh(2*t))",
                              (-inf, inf), (-0.5, 0.0, 0.3),
                              lambda t: _sym_window(
                                  0.45 * math.acos(math.tanh(2 * t)))),
@@ -327,11 +326,12 @@ def curvature_profile_check(name: str, n_theta: int = 21,
     e = get(name)
     if e.curvature_profile is None:
         raise NoProfile(f"{name} stores no curvature profile")
+    import sympy as sp
     prof = e.curvature_profile
-    k = prof.form.expr
+    k, th, tm = prof.form.expr, prof.form.space, prof.form.time
     sign = -1 if e.plane is Plane.MINKOWSKI else +1
-    resid = sp.diff(k, _T) - (k * k * sp.diff(k, _TH, 2) + sign * k ** 3)
-    fn = sp.lambdify((_TH, _T), resid, modules="numpy")
+    resid = sp.diff(k, tm) - (k * k * sp.diff(k, th, 2) + sign * k ** 3)
+    fn = sp.lambdify((th, tm), resid, modules="numpy")
 
     worst, sumsq, count = 0.0, 0.0, 0
     times = np.linspace(prof.times[0], prof.times[-1], n_t)
@@ -353,8 +353,8 @@ def length_vs_time(name: str, t_grid) -> np.ndarray:
     e = get(name)
     if not e.finite_length:
         raise InfiniteLength(f"{name} has no finite Minkowski length")
-    rows = [(float(t), e.length(float(t))) for t in np.asarray(t_grid, float)]
-    return np.array(rows)
+    ts = np.asarray(t_grid, float)
+    return np.column_stack([ts, e.length(ts)])
 
 
 # Figure-series labels: curve -> (registry name, qualitative behaviour).

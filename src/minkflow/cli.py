@@ -9,6 +9,7 @@ byte-identical files.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -17,7 +18,6 @@ import sys
 import tempfile
 
 import numpy as np
-import sympy as sp
 
 from . import catalog, flow, geometry, invariants, selfsim, svg
 from .errors import InvalidParams, MinkflowError, UnknownSolution
@@ -54,20 +54,53 @@ def _config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
+# Syntax an expr: formula may use besides keyword-free calls by name;
+# sympy evaluates the text as Python, so it is checked before sympy sees it.
+_FORMULA_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Name,
+                  ast.Load, ast.Constant, ast.Add, ast.Sub, ast.Mult,
+                  ast.Div, ast.Pow, ast.BitXor, ast.UAdd, ast.USub)
+
+
 def _parse_expr(text: str, var_name: str):
-    """Closed-form sampler restricted to the fixed function basis."""
-    u = sp.Symbol(var_name, real=True)
-    t = sp.Symbol("t", real=True)
-    expr = sp.sympify(text, locals={var_name: u, "t": t, "coth": sp.coth})
-    bad = [f.func.__name__ for f in expr.atoms(sp.Function)
-           if f.func.__name__ not in _ALLOWED_FUNCS]
+    """Closed-form sampler restricted to the fixed function basis.
+
+    The text may hold only numbers, the names var_name, t, pi and E,
+    + - * / ** ^ and keyword-free calls to the supported functions.
+    """
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise InvalidParams(f"expression is not a formula: {exc}") from None
+    called, bad, free = set(), set(), set()
+    for node in ast.walk(tree):  # breadth first: a call precedes its name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and not node.keywords:
+            called.add(id(node.func))
+        elif not isinstance(node, _FORMULA_NODES) or (
+                isinstance(node, ast.Constant)
+                and type(node.value) not in (int, float)):
+            raise InvalidParams(
+                f"expression uses unsupported syntax ({type(node).__name__});"
+                f" allowed are numbers, pi, E, {var_name}, t, + - * / ** ^ "
+                "and calls to the supported functions")
+        elif id(node) in called:
+            if node.id not in _ALLOWED_FUNCS:
+                bad.add(node.id)
+        elif isinstance(node, ast.Name) and \
+                node.id not in (var_name, "t", "pi", "E"):
+            free.add(node.id)
     if bad:
         raise InvalidParams(
-            f"functions {sorted(set(bad))} are outside the supported basis")
-    free = expr.free_symbols - {u, t}
+            f"functions {sorted(bad)} are outside the supported basis")
     if free:
-        raise InvalidParams(f"unknown symbols in expression: {free}")
-    return flow.ClosedForm(expr, u, t, name=text)
+        raise InvalidParams(
+            f"unknown symbols in expression: {{{', '.join(sorted(free))}}}")
+    form = flow.ClosedForm(text, var_name, "t", name=text)
+    try:
+        form.expr  # sympy parses the checked text here, not mid-run
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"expression does not parse: {exc}") from None
+    return form
 
 
 def _initial_grid(args) -> tuple[FlowGrid, object]:

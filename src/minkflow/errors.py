@@ -13,6 +13,10 @@ class LightLikeDivision(MinkflowError):
     """Inversion of a zero divisor (a point on the light cone)."""
 
 
+class NonFiniteCurve(MinkflowError):
+    """Curve positions overflow float64."""
+
+
 class NotSpaceLike(MinkflowError):
     """Curve data violates the space-like slope condition."""
 

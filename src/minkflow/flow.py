@@ -24,14 +24,12 @@ solution).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
-from scipy.integrate import BDF
-from scipy.sparse import diags
 
 from .errors import DegenerateSlope, NotEven, SignChange, StabilityViolation
 from .geometry import SLOPE_TOL, Curve, frame_from_graph, frame_from_lightcone
@@ -207,6 +205,8 @@ def step(grid: FlowGrid, dt: float, boundary=None) -> FlowGrid:
 
 def _bdf_steps(kind, boundary, h, t0, y0, t_end):
     """Accepted BDF steps as (t, interior, dense output on the step)."""
+    from scipy.integrate import BDF
+    from scipy.sparse import diags
 
     def fun(t, y):
         return _stencil(kind, boundary.fill(t, y, h), h)[0]
@@ -384,24 +384,52 @@ def _observed_order(hs, errs) -> float | None:
 
 
 class ClosedForm:
-    """A sympy expression in (space, time) usable as a vectorized sampler."""
+    """A closed form in (space, time) usable as a vectorized sampler.
 
-    def __init__(self, expr, space: sp.Symbol, time: sp.Symbol, name: str = ""):
-        self.expr = expr
-        self.space = space
-        self.time = time
+    ``expr`` is a sympy expression or its source text; ``space`` and
+    ``time`` are sympy symbols or the names of real ones.  Text is parsed
+    by sympy (``coth`` included) and lambdified on first use, so building
+    a ClosedForm does not import sympy.
+    """
+
+    def __init__(self, expr, space, time, name: str = ""):
         self.name = name
-        self._fn = sp.lambdify((space, time), expr, modules="numpy")
+        self._source = (expr, space, time)
         self._dfns = {}
 
+    @functools.cached_property
+    def _parsed(self):
+        """(expr, space, time, lambdified sampler), built once."""
+        import sympy as sp
+        expr, *syms = self._source
+        space, time = (sp.Symbol(v, real=True) if isinstance(v, str) else v
+                       for v in syms)
+        expr = sp.sympify(expr, locals={space.name: space, time.name: time,
+                                        "coth": sp.coth})
+        return expr, space, time, sp.lambdify((space, time), expr,
+                                              modules="numpy")
+
+    @property
+    def expr(self):
+        return self._parsed[0]
+
+    @property
+    def space(self):
+        return self._parsed[1]
+
+    @property
+    def time(self):
+        return self._parsed[2]
+
     def __call__(self, pts, t):
-        out = self._fn(np.asarray(pts, dtype=float), t)
+        out = self._parsed[3](np.asarray(pts, dtype=float), t)
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.shape(pts)).copy()
 
     def derivative(self, order: int = 1) -> "ClosedForm":
         """Exact spatial derivative, built once per order."""
         if order not in self._dfns:
+            import sympy as sp
             self._dfns[order] = ClosedForm(
                 sp.diff(self.expr, self.space, order), self.space, self.time)
         return self._dfns[order]
@@ -433,6 +461,7 @@ def wick_transform(kind: FlowKind, euclid: ClosedForm,
     scale = np.max(np.abs(left[finite])) + 1.0
     if np.max(np.abs(left[finite] - right[finite])) > 1e-9 * scale:
         raise NotEven(f"{euclid!r} is not even in its spatial argument")
+    import sympy as sp
     expr = euclid.expr.subs(euclid.space, sp.I * euclid.space, simultaneous=True)
     expr = expr.subs(euclid.time, -euclid.time, simultaneous=True)
     expr = sp.simplify(expr)

@@ -107,7 +107,10 @@ def fd_second(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_grid(nodes: np.ndarray):
+def _check_grid(nodes: np.ndarray, values: np.ndarray, names: tuple):
+    for name, arr in zip(names, (nodes, values)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"curve {name} must be finite")
     if len(nodes) < 5:
         raise GridTooCoarse(f"need at least 5 nodes, got {len(nodes)}")
     if not np.all(np.diff(nodes) > 0):
@@ -145,12 +148,13 @@ def frame_from_graph(xs, ys, resample: bool = False,
     trapezoidal integral of sqrt(1 - y'^2) rebased to the node nearest
     x = 0.  Set ``resample`` to interpolate onto a uniform grid first.
 
-    Raises NotSpaceLike when |y'| reaches 1 - slope_tol anywhere; pass
-    slope_tol=0.0 to accept everything strictly below the light cone.
+    Raises ValueError on non-finite input, and NotSpaceLike when |y'|
+    reaches 1 - slope_tol anywhere; pass slope_tol=0.0 to accept
+    everything strictly below the light cone.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    _check_grid(xs)
+    _check_grid(xs, ys, ("xs", "ys"))
     if resample:
         from scipy.interpolate import CubicSpline
         u = np.linspace(xs[0], xs[-1], len(xs))
@@ -185,7 +189,7 @@ def frame_from_lightcone(etas, xis, slope_tol: float = SLOPE_TOL) -> Curve:
     """
     etas = np.asarray(etas, dtype=float)
     xis = np.asarray(xis, dtype=float)
-    _check_grid(etas)
+    _check_grid(etas, xis, ("etas", "xis"))
     xip = fd_first(etas, xis)
     if np.min(xip) <= slope_tol:
         raise NotSpaceLike(

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateSpiral, InvalidParams
 from .geometry import Curve, _rebase, _support_from_frame
@@ -177,6 +176,7 @@ def point_set_deviation(base_points: np.ndarray,
     Probes whose nearest sample is at the very ends are discarded (no
     bracketing neighbours for the local quadratic fit).
     """
+    from scipy.spatial import cKDTree
     base = np.asarray(base_points, float)
     probes = np.asarray(probe_points, float)
     tree = cKDTree(base)

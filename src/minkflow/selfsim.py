@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import (BranchContainsRoot, Inconclusive, InvalidParams,
-                     NoInvariantKnown, TimeLikeBranch)
+                     NoInvariantKnown, NonFiniteCurve, TimeLikeBranch)
 from .geometry import (SLOPE_TOL, Curve, CurveSample, _graph_curve,
                        _lightcone_curve, _rebase, _support_from_frame,
                        reconstruct_positions)
@@ -303,6 +302,7 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     a strongly attracting slow manifold are stiff; pass method="Radau"
     for those.
     """
+    from scipy.integrate import solve_ivp
     if p.has_translation:
         raise InvalidParams("phase-plane form requires C = 0")
     if chart is Chart.KL and p.a * p.a == p.b * p.b:
@@ -382,8 +382,19 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
 
 
 def reconstruct(traj: Trajectory) -> Curve:
-    """Curve X = (tau - h nu) e^{h theta} at the trajectory's s nodes."""
-    pts = reconstruct_positions(traj.tau, traj.nu, traj.theta)
+    """Curve X = (tau - h nu) e^{h theta} at the trajectory's s nodes.
+
+    Raises NonFiniteCurve, naming the first such node, when a position
+    overflows float64 (cosh theta does once |theta| passes about 710).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = reconstruct_positions(traj.tau, traj.nu, traj.theta)
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        i = bad[0]
+        raise NonFiniteCurve(
+            f"reconstructed position is not finite at s={traj.s[i]:.17g}, "
+            f"theta={traj.theta[i]:.17g} (the first such node)")
     return Curve(traj.s.copy(), pts[:, 0], pts[:, 1], traj.theta.copy(),
                  traj.k.copy(), traj.tau.copy(), traj.nu.copy(),
                  events=dict(traj.events))
@@ -404,6 +415,7 @@ def integrate_graph(p: SolitonParams, y0: float, yp0: float,
     1 - SLOPE_TOL the integration stops and the approach is logged as a
     light-like asymptote event.
     """
+    from scipy.integrate import solve_ivp
     if abs(yp0) >= 1.0:
         raise InvalidParams("initial slope must satisfy |y'| < 1")
     a, b, c1, c2 = p.a, p.b, p.C.x, p.C.y
@@ -452,6 +464,7 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
     in the diagonal view.  xi' > 0 is maintained; blow-up at finite eta
     is recorded as an event.
     """
+    from scipy.integrate import solve_ivp
     if xip0 <= 0.0:
         raise InvalidParams("initial xi' must be positive (space-like)")
     lo, hi = eta_span
@@ -806,6 +819,7 @@ def screw_translate_curve(A: float, branch: int = -1,
     increasing xi (default: the rightmost).  The span must stay at least
     1e-8 away from every root of D.
     """
+    from scipy.integrate import quad
     branches = [b for b in screw_branches(A) if b["spacelike"]]
     if not branches:
         raise TimeLikeBranch(f"no space-like branch for A={A}")

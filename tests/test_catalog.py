@@ -105,6 +105,14 @@ class TestLengths:
         flips = np.count_nonzero(np.diff(np.sign(d)) != 0)
         assert flips == 1 and d[0] > 0 and d[-1] < 0
 
+    def test_batch_matches_scalar_loop(self):
+        for label, (name, _) in catalog.LENGTH_SERIES.items():
+            e = catalog.get(name)
+            ts = np.linspace(*catalog.LENGTH_GRIDS[label], 12)
+            scalar = [e.length(float(t)) for t in ts]
+            assert all(type(v) is float for v in scalar)
+            assert np.array_equal(e.length(ts), scalar), label
+
     def test_infinite_length_rejected(self):
         for name in ("screw-tan", "hyperbola-expander", "wave-sinsin",
                      "euclid-circle"):

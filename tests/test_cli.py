@@ -1,14 +1,48 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from minkflow.cli import main
+import minkflow
+from minkflow import geometry
+from minkflow.cli import _parse_expr, main
+from minkflow.errors import InvalidParams
 from minkflow.flow import FlowGrid, FlowKind, stability_dt
 
 
 def run(argv):
     return main(argv)
+
+
+# `catalog show` text of every registry entry: (expression, profile).
+SHOWN_FORMS = {
+    "translator-y": ("t + log(cosh(x))", "cosh(theta)"),
+    "translator-x": ("asinh(exp(t - x))", "-sinh(theta)"),
+    "translator-xi": ("t + exp(x)", "exp(-theta)"),
+    "hyperbola-expander": ("sqrt(2*t + x**2)", "sqrt(2)/(2*sqrt(t))"),
+    "screw-tanh": ("(1 - 2*t)*tanh(x)", "sqrt(exp(-2*theta) + 1/(2*t))"),
+    "screw-tan": ("(2*t + 1)*tan(x)", "sqrt(-exp(-2*theta) + 1/(2*t))"),
+    "screw-coth": ("(-2*t - 1)*coth(x)", "sqrt(exp(-2*theta) + 1/(2*t))"),
+    "oval-coshcosh": ("acosh(exp(t)*cosh(x))",
+                      "sqrt(cosh(2*theta) + coth(2*t))"),
+    "wave-coshsinh": ("asinh(exp(t)*cosh(x))",
+                      "sqrt(cosh(2*theta) + tanh(2*t))"),
+    "wave-sinhsinh": ("asinh(exp(t)*sinh(x))",
+                      "sqrt(cosh(2*theta) + coth(2*t))"),
+    "wave-sinsin": ("asin(exp(-t)*sin(x))",
+                    "sqrt(-cosh(2*theta) + 1/tanh(2*t))"),
+    "interp-tan": ("atanh(tan(2*t)*tan(x))",
+                   "sqrt(sinh(2*theta) + 1/tan(2*t))"),
+    "euclid-circle": ("sqrt(-2*t - x**2)", "sqrt(2)/(2*sqrt(-t))"),
+    "euclid-reaper": ("-t + log(cos(x))", "cos(theta)"),
+    "euclid-oval": ("acosh(exp(-t)*cos(x))",
+                    "sqrt(cos(2*theta) - 1/tanh(2*t))"),
+    "euclid-wave": ("asinh(exp(-t)*cos(x))", "sqrt(cos(2*theta) - tanh(2*t))"),
+}
 
 
 class TestSelfsimCommand:
@@ -69,6 +103,47 @@ class TestEvolveCommand:
         code = run(["evolve", "expr:zeta(x)", "--t1", "0.1",
                     "--out", str(tmp_path)])
         assert code == 2
+
+    def test_expression_code_not_run(self, tmp_path, capsys):
+        payload = "__import__('sys').stdout.write('PAYLOAD RAN') and x"
+        code = run(["evolve", f"expr:{payload}", "--t1", "0.1",
+                    "--out", str(tmp_path / "ev")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unsupported syntax" in captured.err
+        assert "PAYLOAD RAN" not in captured.err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("text, ref", [
+        ("0.3*x", lambda x, t: 0.3 * x),
+        ("sqrt(x)", lambda x, t: np.sqrt(x)),
+        ("0.3*x+0.001*sqrt(0.05-t)",
+         lambda x, t: 0.3 * x + 0.001 * np.sqrt(0.05 - t)),
+        ("-x^2/4 + coth(t+2)", lambda x, t: -x ** 2 / 4 + 1 / np.tanh(t + 2)),
+        ("cos(pi*x) + E", lambda x, t: np.cos(np.pi * x) + np.e),
+    ])
+    def test_expression_accepted(self, text, ref):
+        xs = np.linspace(0.1, 0.9, 5)
+        np.testing.assert_allclose(_parse_expr(text, "x")(xs, 0.01),
+                                   ref(xs, 0.01), rtol=1e-14)
+
+    @pytest.mark.parametrize("text, words", [
+        ("x.real", "unsupported syntax (Attribute)"),
+        ("sin(x=1)", "unsupported syntax (Call)"),
+        ("(lambda: x)()", "unsupported syntax (Call)"),
+        ("'x'", "unsupported syntax (Constant)"),
+        ("1j*x", "unsupported syntax (Constant)"),
+        ("x[0]", "unsupported syntax (Subscript)"),
+        ("x if t else 1", "unsupported syntax (IfExp)"),
+        ("x +", "not a formula"),
+        ("sqrt()", "does not parse"),
+        ("eta + x", "unknown symbols in expression: {eta}"),
+        ("zeta(x)", "functions ['zeta'] are outside the supported basis"),
+    ])
+    def test_expression_refused(self, text, words):
+        with pytest.raises(InvalidParams, match=re.escape(words)):
+            _parse_expr(text, "x")
 
     def test_stability_violation_exit(self, tmp_path):
         code = run(["evolve", "hyperbola-expander", "--t0", "0.5",
@@ -163,6 +238,14 @@ class TestCatalogCommand:
 
     def test_unknown_name_exit_code(self, capsys):
         assert run(["catalog", "show", "nope"]) == 4
+
+    def test_show_expressions(self, capsys):
+        shown = {}
+        for name in SHOWN_FORMS:
+            assert run(["catalog", "show", name]) == 0
+            info = json.loads(capsys.readouterr().out)
+            shown[name] = (info["expression"], info["curvature_profile"])
+        assert shown == SHOWN_FORMS
 
     def test_lengths(self, tmp_path, capsys):
         out = tmp_path / "len"
@@ -290,3 +373,38 @@ class TestConfigFile:
         rows = (out / "snapshot_001.csv").read_text().splitlines()
         assert rows[0] == "# t=0.52000000000000002"
         assert len(rows) == 2 + 41
+
+
+class TestColdStart:
+    """Commands that need no symbolic or ODE work load neither sympy nor
+    scipy; each check runs in a fresh interpreter."""
+
+    HEAVY = ("sympy", "scipy")
+
+    def loaded(self, code, cwd):
+        src = os.path.dirname(os.path.dirname(minkflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted("
+                 f"m for m in sys.modules if m.split('.')[0] in {self.HEAVY})))")
+        out = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        return json.loads(out.stdout.strip().splitlines()[-1])
+
+    def test_import_cli(self, tmp_path):
+        loaded = self.loaded("import minkflow.cli", tmp_path)
+        for mod in ("sympy", "scipy.integrate", "scipy.sparse",
+                    "scipy.spatial", "scipy.optimize"):
+            assert mod not in loaded
+
+    @pytest.mark.parametrize("argv", [["catalog", "list"],
+                                      ["plot", "curve.csv"]])
+    def test_light_commands(self, tmp_path, argv):
+        xs = np.linspace(-1.0, 1.0, 21)
+        geometry.write_curve_csv(
+            geometry.frame_from_graph(xs, np.sqrt(xs * xs + 1.0)),
+            str(tmp_path / "curve.csv"))
+        code = ("import sys\nfrom minkflow.cli import main\n"
+                f"assert main({argv!r}) == 0")
+        assert self.loaded(code, tmp_path) == []

@@ -249,6 +249,17 @@ class TestResidual:
         assert rep.max_abs >= rep.rms >= 0
 
 
+def test_closed_form_from_text():
+    text = ClosedForm("sqrt(x*x + 2*t) + coth(t)", "x", "t")
+    expr = ClosedForm(sp.sqrt(X * X + 2 * T) + sp.coth(T), X, T)
+    assert text.expr == expr.expr
+    assert (text.space, text.time) == (X, T)
+    xs = np.linspace(-1.0, 1.0, 9)
+    assert np.array_equal(text(xs, 0.7), expr(xs, 0.7))
+    assert np.array_equal(text.derivative(2)(xs, 0.7),
+                          expr.derivative(2)(xs, 0.7))
+
+
 class TestWick:
     def test_circle_to_hyperbola(self):
         circ = ClosedForm(sp.sqrt(-2 * T - X * X), X, T, "circle")

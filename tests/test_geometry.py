@@ -52,6 +52,19 @@ class TestFrameFromGraph:
         with pytest.raises(GridTooCoarse):
             frame_from_graph(np.array([0.0, 1, 2, 3]), np.zeros(4))
 
+    @pytest.mark.parametrize("field", ["xs", "ys"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, field, bad):
+        data = {"xs": np.linspace(-1, 1, 21), "ys": np.zeros(21)}
+        data[field][-1 if field == "xs" else 7] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            frame_from_graph(data["xs"], data["ys"])
+        lightcone = {"xs": "etas", "ys": "xis"}[field]
+        data["ys"] = np.linspace(-1, 1, 21)
+        data[field][-1 if field == "xs" else 7] = bad
+        with pytest.raises(ValueError, match=f"{lightcone} must be finite"):
+            frame_from_lightcone(data["xs"], data["ys"])
+
     def test_resample(self):
         xs = np.concatenate([np.linspace(-1, 0, 60)[:-1],
                              np.linspace(0, 1, 142)])

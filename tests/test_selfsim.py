@@ -7,7 +7,8 @@ from scipy.interpolate import CubicSpline
 from minkflow import geometry as geo
 from minkflow import selfsim as ss
 from minkflow.errors import (BranchContainsRoot, Inconclusive, InvalidParams,
-                             NoInvariantKnown, TimeLikeBranch)
+                             NoInvariantKnown, NonFiniteCurve,
+                             TimeLikeBranch)
 from minkflow.hyperbolic import HyperbolicNumber as HN
 from minkflow.selfsim import Chart, SolitonParams, motion_law
 
@@ -171,6 +172,15 @@ class TestReconstruct:
         keep = np.maximum(np.abs(c.tau), np.abs(c.nu)) < 100.0
         assert np.max(np.abs(sf[keep, 0] - c.tau[keep])) < 1e-8
         assert np.max(np.abs(sf[keep, 1] - c.nu[keep])) < 1e-8
+
+    def test_overflow_refused(self):
+        # A boost by theta0 = 705 is a solution too; cosh theta overflows
+        # float64 past |theta| ~ 710, which this trajectory reaches.
+        traj = ss.integrate_phase(SolitonParams(1.0, 0.0), Chart.TAU_NU,
+                                  (0.0, 0.5, 705.0), s_max=6.0)
+        assert np.max(np.abs(traj.theta)) > 711.0
+        with pytest.raises(NonFiniteCurve, match=r"at s=\S+, theta=7\d\d\."):
+            ss.reconstruct(traj)
 
     def test_kl_reconstruct_requires_invertible_chart(self):
         p = SolitonParams(1.0, -0.5)
