@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InfiniteLength, NoProfile, UnknownSolution
-from .flow import ClosedForm, FlowKind, Plane, ResidualReport, residual
+from .flow import (ClosedForm, FlowKind, Plane, ResidualReport, _level,
+                   _operator, residual)
 
 DEFAULT_LEVELS = (0.02, 0.01, 0.005)
 ORDER_TARGET, ORDER_TOL = 2.0, 0.3
@@ -297,12 +298,12 @@ def get(name: str) -> ExactSolution:
             f"{', '.join(_REGISTRY)}") from None
 
 
-def verify_all(levels=DEFAULT_LEVELS, order_target=ORDER_TARGET,
-               order_tol=ORDER_TOL, only=None) -> list[dict]:
+def verify_all(levels=DEFAULT_LEVELS, order_tol=ORDER_TOL,
+               only=None) -> list[dict]:
     """Residual-verify every registry entry on a refinement ladder.
 
     Each entry is probed at its three interior times; it passes when the
-    observed convergence order of the max residual is order_target within
+    observed convergence order of the max residual is ORDER_TARGET within
     order_tol.  Failures are entries in the result, not exceptions.
     """
     out = []
@@ -310,40 +311,30 @@ def verify_all(levels=DEFAULT_LEVELS, order_target=ORDER_TARGET,
         e = get(name)
         rep = residual(e.kind, e.sampler, levels, e.times, e.window, e.plane)
         ok = rep.observed_order is not None \
-            and abs(rep.observed_order - order_target) <= order_tol
+            and abs(rep.observed_order - ORDER_TARGET) <= order_tol
         out.append({"name": name, "passed": bool(ok), "report": rep})
     return out
 
 
-def curvature_profile_check(name: str, n_theta: int = 21,
-                            n_t: int = 7) -> ResidualReport:
+def curvature_profile_check(name: str) -> ResidualReport:
     """Residual of the curvature evolution PDE for a stored profile.
 
-    The derivatives are exact (symbolic), evaluated on a (theta, t) probe
-    grid inside the profile's domain, so a true profile sits at the
-    roundoff floor.
+    k_t minus the flow's own curvature operator, with exact (symbolic)
+    derivatives, evaluated at 21 angles on each of 7 times spanning the
+    profile's probe times, so a true profile sits at the roundoff floor.
     """
     e = get(name)
     if e.curvature_profile is None:
         raise NoProfile(f"{name} stores no curvature profile")
     import sympy as sp
     prof = e.curvature_profile
-    k, th, tm = prof.form.expr, prof.form.space, prof.form.time
-    sign = -1 if e.plane is Plane.MINKOWSKI else +1
-    resid = sp.diff(k, tm) - (k * k * sp.diff(k, th, 2) + sign * k ** 3)
-    fn = sp.lambdify((th, tm), resid, modules="numpy")
-
-    worst, sumsq, count = 0.0, 0.0, 0
-    times = np.linspace(prof.times[0], prof.times[-1], n_t)
-    for t in times:
-        lo, hi = prof.window(float(t))
-        thetas = np.linspace(lo, hi, n_theta)
-        vals = np.asarray(fn(thetas, float(t)), dtype=float)
-        vals = np.broadcast_to(vals, thetas.shape)
-        worst = max(worst, float(np.max(np.abs(vals))))
-        sumsq += float(np.sum(vals * vals))
-        count += len(thetas)
-    level = {"h": 0.0, "max_abs": worst, "rms": math.sqrt(sumsq / count)}
+    k = prof.form
+    rhs = _operator(FlowKind.CURVATURE_ANGLE, k.expr, k.derivative(1).expr,
+                    k.derivative(2).expr, e.plane)[0]
+    resid = ClosedForm(sp.diff(k.expr, k.time) - rhs, k.space, k.time)
+    times = np.linspace(prof.times[0], prof.times[-1], 7)
+    level = _level(0.0, [resid(np.linspace(*prof.window(float(t)), 21),
+                               float(t)) for t in times])
     return ResidualReport("curvature_angle", e.plane.value,
                           [float(t) for t in times], [level], None)
 

@@ -27,9 +27,12 @@ from .selfsim import Chart, SolitonParams
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_UNKNOWN = 0, 2, 3, 4
 
-_ALLOWED_FUNCS = {"sin", "cos", "tan", "sinh", "cosh", "tanh", "exp",
-                  "log", "sqrt", "asin", "acos", "atan", "asinh", "acosh",
-                  "atanh", "coth", "Abs"}
+# Supported functions and the argument counts each takes (log may take a
+# base); sympy reads some extra arguments as options, so counts are checked.
+_ALLOWED_FUNCS = dict.fromkeys(
+    ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "sqrt", "asin",
+     "acos", "atan", "asinh", "acosh", "atanh", "coth", "Abs"), (1,))
+_ALLOWED_FUNCS["log"] = (1, 2)
 
 
 def _atomic_write(path: str, data: str):
@@ -65,7 +68,8 @@ def _parse_expr(text: str, var_name: str):
     """Closed-form sampler restricted to the fixed function basis.
 
     The text may hold only numbers, the names var_name, t, pi and E,
-    + - * / ** ^ and keyword-free calls to the supported functions.
+    + - * / ** ^ and keyword-free calls to the supported functions, with
+    one argument each (log: one or two).
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -76,6 +80,12 @@ def _parse_expr(text: str, var_name: str):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and not node.keywords:
             called.add(id(node.func))
+            arity = _ALLOWED_FUNCS.get(node.func.id)
+            if arity and len(node.args) not in arity:
+                raise InvalidParams(
+                    f"expression does not parse: {node.func.id} takes "
+                    f"{' or '.join(map(str, arity))} argument(s), "
+                    f"got {len(node.args)}")
         elif not isinstance(node, _FORMULA_NODES) or (
                 isinstance(node, ast.Constant)
                 and type(node.value) not in (int, float)):
@@ -210,6 +220,8 @@ def _run_trajectory(args):
 
 def cmd_selfsim(args) -> int:
     p, traj = _run_trajectory(args)
+    curve = selfsim.reconstruct(traj)  # may refuse: write nothing before
+    report = selfsim.classify(p, traj)
     os.makedirs(args.out, exist_ok=True)
     rows = ["s,tau,nu,theta,k,l"]
     rows += [",".join(f"{v:.17g}" for v in vals) for vals in
@@ -218,9 +230,7 @@ def cmd_selfsim(args) -> int:
                   "\n".join(rows) + "\n")
     _atomic_write(os.path.join(args.out, "events.json"),
                   _json_dumps(traj.events))
-    curve = selfsim.reconstruct(traj)
     geometry.write_curve_csv(curve, os.path.join(args.out, "curve.csv"))
-    report = selfsim.classify(p, traj)
     _atomic_write(os.path.join(args.out, "classification.json"),
                   _json_dumps(report.to_json_dict()))
     print(f"trajectory, curve and classification written to {args.out}")

@@ -8,17 +8,20 @@ grid:
     curvature_angle:  k_t  = k^2 k_thetatheta - k^3   (convex curves)
 
 Each is a heat equation u_t = D u_xx + R with state-dependent diffusivity
-D = 1/(1 - y_x^2), 1/xi_eta and k^2 respectively, and each is discretised
-by one 3-point centered stencil (``_stencil``) that also gives the
-tridiagonal Jacobian of the interior right-hand side.  ``evolve`` is a
-method-of-lines solver: the interior nodes are advanced by the stiff BDF
-integrator with that analytic Jacobian, at fixed tolerances
-rtol = 1e-6 and atol = 1e-3 h^2, far below the O(h^2) spatial error.
-With ``max_dt`` it takes explicit Euler steps instead, the reference
-scheme, stable for dt <= 0.4 h^2 / max D.  Candidate exact solutions are
-verified independently by centered-difference residuals on refinement
-ladders, with the observed convergence order reported (about 2 for a true
-solution).
+D = 1/(1 - y_x^2), 1/xi_eta and k^2 respectively.  Each right-hand side
+F(u, u_x, u_xx) is written once, with its partial derivatives, in
+``_operator``; the Euclidean curve-shortening counterparts differ by one
+sign.  ``_stencil`` evaluates it at 3-point centered differences and
+gets the tridiagonal Jacobian of the interior right-hand side by the
+chain rule.  ``evolve`` is a method-of-lines solver: the interior nodes
+are advanced by the stiff BDF integrator with that analytic Jacobian, at
+fixed tolerances rtol = 1e-6 and atol = 1e-3 h^2, far below the O(h^2)
+spatial error.  With ``max_dt`` it takes explicit Euler steps instead,
+the reference scheme, stable for dt <= 0.4 h^2 / max D.  Candidate exact
+solutions are verified by the residual of the same stencil on refinement
+ladders, with the observed convergence order reported (about 2 for a
+true solution); the catalog's curvature-profile check applies
+``_operator`` to exact symbolic derivatives.
 """
 
 from __future__ import annotations
@@ -103,31 +106,44 @@ def _check_invariants(kind, nodes, values, t):
             raise SignChange("curvature grid is not single-signed", t=t)
 
 
-def _stencil(kind: FlowKind, v: np.ndarray, h: float):
-    """Interior right-hand side of the full grid ``v`` and its Jacobian.
+def _operator(kind: FlowKind, u, ux, uxx, plane: Plane):
+    """Right-hand side F of u_t = F(u, u_x, u_xx) and its partials.
 
-    Returns ``(rhs, lower, diag, upper)``: the bands are d rhs_i / d v_j
-    for j = i-1, i, i+1.  Writing each formulation as u_t = D u_xx + R,
-    the off-diagonal bands are D/h^2 -+ u_xx D'(u_x)/(2h) and the
-    diagonal is -2 D/h^2 + R'(u).
+    Returns ``(F, F_u, F_ux, F_uxx)``.  With s = 1 in the Minkowski plane
+    and s = -1 in the Euclidean one, F is u_xx / (1 - s u_x^2) for y,
+    u_xx / u_x for xi and u^2 u_xx - s u^3 for k.  Only plain arithmetic
+    is used, so the arguments may be numpy arrays or sympy expressions.
     """
-    um, uc, up = v[:-2], v[1:-1], v[2:]
-    uxx = (up - 2.0 * uc + um) / (h * h)
+    s = 1 if plane is Plane.MINKOWSKI else -1
     if kind is FlowKind.CURVATURE_ANGLE:
-        diff = uc * uc
-        off = diff / (h * h)
-        return (diff * uxx - diff * uc, off,
-                2.0 * uc * uxx - 3.0 * diff - 2.0 * off, off)
-    ux = (up - um) / (2.0 * h)
+        diff = u * u
+        return (diff * uxx - s * (diff * u), 2.0 * u * uxx - 3.0 * s * diff,
+                0.0, diff)
     if kind is FlowKind.GRAPH_Y:
-        diff = 1.0 / ((1.0 - ux) * (1.0 + ux))
-        ddiff = 2.0 * ux * diff * diff
+        # Factored, so 1 - u_x^2 keeps its digits as |u_x| nears 1.
+        diff = 1.0 / ((1.0 - ux) * (1.0 + ux) if s > 0 else 1.0 + ux * ux)
+        ddiff = 2.0 * s * ux * diff * diff
     else:
         diff = 1.0 / ux
         ddiff = -diff * diff
-    off = diff / (h * h)
-    via_slope = uxx * ddiff / (2.0 * h)
-    return diff * uxx, off - via_slope, -2.0 * off, off + via_slope
+    return diff * uxx, 0.0, uxx * ddiff, diff
+
+
+def _stencil(kind: FlowKind, v: np.ndarray, h: float,
+             plane: Plane = Plane.MINKOWSKI):
+    """Interior right-hand side of the full grid ``v`` and its Jacobian.
+
+    Returns ``(rhs, lower, diag, upper)``: ``_operator`` at centered
+    differences, and the bands d rhs_i / d v_j for j = i-1, i, i+1 by the
+    chain rule: F_uxx/h^2 -+ F_ux/(2h) off the diagonal, F_u - 2 F_uxx/h^2
+    on it.
+    """
+    um, uc, up = v[:-2], v[1:-1], v[2:]
+    f, f_u, f_ux, f_uxx = _operator(kind, uc, (up - um) / (2.0 * h),
+                                    (up - 2.0 * uc + um) / (h * h), plane)
+    off = f_uxx / (h * h)
+    via_slope = f_ux / (2.0 * h)
+    return f, off - via_slope, f_u - 2.0 * off, off + via_slope
 
 
 # ---------------------------------------------------------------------------
@@ -326,50 +342,43 @@ class ResidualReport:
         }
 
 
-def _pde_residual(kind, plane, ut, u, ux, uxx):
-    if kind is FlowKind.GRAPH_Y:
-        if plane is Plane.MINKOWSKI:
-            return ut - uxx / ((1.0 - ux) * (1.0 + ux))
-        return ut - uxx / (1.0 + ux * ux)
-    if kind is FlowKind.LIGHTCONE:
-        return ut - uxx / ux
-    if plane is Plane.MINKOWSKI:
-        return ut - (u * u * uxx - u ** 3)
-    return ut - (u * u * uxx + u ** 3)
-
-
 def residual(kind: FlowKind, candidate: Callable, levels: Sequence[float],
              times: Sequence[float], window, plane: Plane = Plane.MINKOWSKI,
              ) -> ResidualReport:
     """Centered-difference PDE residual of candidate(points, t).
 
-    ``window`` is a pair (lo, hi) or a callable t -> (lo, hi).  The time
-    derivative uses the same spacing h as the spatial ones, so the
-    residual of a true solution shrinks at second order along ``levels``.
+    The spatial terms are the solver's own stencil (``_stencil``) on the
+    candidate's samples.  ``window`` is a pair (lo, hi) or a callable
+    t -> (lo, hi).  The time derivative uses the same spacing h as the
+    spatial ones, so the residual of a true solution shrinks at second
+    order along ``levels``.
     """
     lv_out = []
     for h in levels:
-        worst, sumsq, count = 0.0, 0.0, 0
+        rs = []
         for t in times:
             lo, hi = window(t) if callable(window) else window
             m = int(math.floor((hi - lo) / h)) + 1
             ext = lo + h * np.arange(-1, m + 1)
             u = np.asarray(candidate(ext, t), dtype=float)
-            um, uc, up = u[:-2], u[1:-1], u[2:]
             inner = ext[1:-1]
             ut = (np.asarray(candidate(inner, t + h), dtype=float)
                   - np.asarray(candidate(inner, t - h), dtype=float)) / (2 * h)
-            ux = (up - um) / (2.0 * h)
-            uxx = (up - 2.0 * uc + um) / (h * h)
-            r = _pde_residual(kind, plane, ut, uc, ux, uxx)
-            worst = max(worst, float(np.max(np.abs(r))))
-            sumsq += float(np.sum(r * r))
-            count += len(r)
-        lv_out.append({"h": float(h), "max_abs": worst,
-                       "rms": math.sqrt(sumsq / count)})
+            rs.append(ut - _stencil(kind, u, h, plane)[0])
+        lv_out.append(_level(h, rs))
     order = _observed_order([lv["h"] for lv in lv_out],
                             [lv["max_abs"] for lv in lv_out])
     return ResidualReport(kind.value, plane.value, list(times), lv_out, order)
+
+
+def _level(h: float, residuals) -> dict:
+    """One ``ResidualReport`` level: max |r| and rms over residual arrays."""
+    worst, sumsq, count = 0.0, 0.0, 0
+    for r in residuals:
+        worst = max(worst, float(np.max(np.abs(r))))
+        sumsq += float(np.sum(r * r))
+        count += len(r)
+    return {"h": float(h), "max_abs": worst, "rms": math.sqrt(sumsq / count)}
 
 
 def _observed_order(hs, errs) -> float | None:

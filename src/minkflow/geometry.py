@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridTooCoarse, NotSpaceLike
-from .hyperbolic import CausalClass, HyperbolicNumber
+from .hyperbolic import HyperbolicNumber
 
 # Slopes closer to light-like than this are rejected by the frame ops.
 SLOPE_TOL = 1e-8
@@ -50,8 +50,6 @@ class Curve:
     k: np.ndarray
     tau: np.ndarray
     nu: np.ndarray
-    causal: CausalClass = CausalClass.SPACE_LIKE
-    closed: bool = False
     events: dict = field(default_factory=dict)
 
     def __len__(self):

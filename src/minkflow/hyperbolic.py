@@ -106,9 +106,6 @@ class HyperbolicNumber:
     def modulus(self) -> float:
         return math.sqrt(abs(self.squared_interval()))
 
-    def is_light_like(self, tol: float = LIGHT_TOL) -> bool:
-        return classify(self, tol) is CausalClass.LIGHT_LIKE
-
 
 def _coerce(value) -> HyperbolicNumber:
     if isinstance(value, HyperbolicNumber):

@@ -578,14 +578,12 @@ def conserved_quantity(p: SolitonParams, state) -> float:
     return math.exp(xi) * (0.5 * xip - xi + 1.0)
 
 
-def conserved_drift(p: SolitonParams, traj_or_curve,
-                    state_cap: float = STATE_CAP,
-                    xi_cap: float = XI_CAP) -> dict:
+def conserved_drift(p: SolitonParams, traj_or_curve) -> dict:
     """Invariant value at s=0 and its worst relative drift.
 
     Exponential-family invariants are monitored in log space, and only on
-    the window where float64 can represent them: |tau|, |nu| <= state_cap,
-    or xi <= xi_cap for the screw-translation invariant (beyond that the
+    the window where float64 can represent them: |tau|, |nu| <= STATE_CAP,
+    or xi <= XI_CAP for the screw-translation invariant (beyond that the
     exponent's roundoff exceeds the 1e-8 drift budget).
     """
     name = _invariant_name(p)
@@ -611,9 +609,9 @@ def conserved_drift(p: SolitonParams, traj_or_curve,
         else:
             xip = np.exp(2.0 * theta)
             inner = 0.5 * xip - xi + 1.0
-            mask = (xi <= xi_cap) & (inner * np.sign(inner[i0] or 1.0) > 0.0)
+            mask = (xi <= XI_CAP) & (inner * np.sign(inner[i0] or 1.0) > 0.0)
     else:
-        mask = np.maximum(np.abs(tau), np.abs(nu)) <= state_cap
+        mask = np.maximum(np.abs(tau), np.abs(nu)) <= STATE_CAP
     if not np.any(mask) or not mask[i0]:
         return {"name": name, "value": math.nan, "drift": math.nan,
                 "n_monitored": int(np.count_nonzero(mask))}

@@ -1,7 +1,7 @@
 """Minimal deterministic SVG 1.1 output: one polyline per curve.
 
 Every plot draws the x/y axes and the two light-cone diagonals, with the
-window defaulting to the data's bounding box padded by 10%.  Output is
+window set to the data's bounding box padded by 10%.  Output is
 byte-stable: fixed float formatting, no timestamps; a comment block
 carries the caller-supplied configuration hash.
 """
@@ -20,19 +20,13 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def render(curves, labels=None, window=None, config_hash="",
-           title="") -> str:
+def render(curves, labels=None, config_hash="", title="") -> str:
     """Render point arrays ((n, 2) each) as an SVG document string."""
     pts_all = np.vstack([np.asarray(c, dtype=float) for c in curves])
-    if window is None:
-        lo = pts_all.min(axis=0)
-        hi = pts_all.max(axis=0)
-        pad = 0.1 * np.maximum(hi - lo, 1e-9)
-        lo, hi = lo - pad, hi + pad
-    else:
-        (x0, x1), (y0, y1) = window
-        lo = np.array([x0, y0], dtype=float)
-        hi = np.array([x1, y1], dtype=float)
+    lo = pts_all.min(axis=0)
+    hi = pts_all.max(axis=0)
+    pad = 0.1 * np.maximum(hi - lo, 1e-9)
+    lo, hi = lo - pad, hi + pad
     span = np.maximum(hi - lo, 1e-12)
     scale = _SIZE / float(np.max(span))
     w_px, h_px = span[0] * scale, span[1] * scale

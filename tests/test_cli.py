@@ -72,6 +72,16 @@ class TestSelfsimCommand:
         for name in ("trajectory.csv", "curve.csv", "classification.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_refused_trajectory_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run(["selfsim", "--a", "1", "--b", "0", "--init", "0,0.5,705",
+                    "--s-max", "6", "--out", str(out)])
+        assert code == 3
+        assert "not finite" in capsys.readouterr().err
+        for name in ("trajectory.csv", "events.json", "curve.csv",
+                     "classification.json"):
+            assert not (out / name).exists()
+
 
 class TestEvolveCommand:
     def test_catalog_initial(self, tmp_path):
@@ -122,6 +132,7 @@ class TestEvolveCommand:
          lambda x, t: 0.3 * x + 0.001 * np.sqrt(0.05 - t)),
         ("-x^2/4 + coth(t+2)", lambda x, t: -x ** 2 / 4 + 1 / np.tanh(t + 2)),
         ("cos(pi*x) + E", lambda x, t: np.cos(np.pi * x) + np.e),
+        ("log(x+3, 2)", lambda x, t: np.log(x + 3) / np.log(2)),
     ])
     def test_expression_accepted(self, text, ref):
         xs = np.linspace(0.1, 0.9, 5)
@@ -140,6 +151,8 @@ class TestEvolveCommand:
         ("sqrt()", "does not parse"),
         ("eta + x", "unknown symbols in expression: {eta}"),
         ("zeta(x)", "functions ['zeta'] are outside the supported basis"),
+        ("sqrt(x+2, t)", "sqrt takes 1 argument(s), got 2"),
+        ("log(x, 2, 3)", "log takes 1 or 2 argument(s), got 3"),
     ])
     def test_expression_refused(self, text, words):
         with pytest.raises(InvalidParams, match=re.escape(words)):

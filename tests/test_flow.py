@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from minkflow import flow
 from minkflow.errors import (DegenerateSlope, NotEven, SignChange,
@@ -91,16 +92,19 @@ class TestStep:
 def test_stencil_bands_match_forward_differences(kind, profile):
     h, eps = 0.01, 1e-7
     v = profile(np.arange(-1, 1 + h / 2, h))
-    rhs, lower, diag, upper = flow._stencil(kind, v, h)
-    jac = np.empty((len(rhs), len(v)))
-    for j in range(len(v)):
-        bumped = v.copy()
-        bumped[j] += eps
-        jac[:, j] = (flow._stencil(kind, bumped, h)[0] - rhs) / eps
-    rows = np.arange(len(rhs))
-    for offset, band in ((0, lower), (1, diag), (2, upper)):
-        fd = jac[rows, rows + offset]
-        assert np.max(np.abs(fd - band)) <= 1e-4 * np.max(np.abs(band))
+    # xi has no Euclidean counterpart; y and k differ there by one sign.
+    planes = [Plane.MINKOWSKI] if kind is FlowKind.LIGHTCONE else list(Plane)
+    for plane in planes:
+        rhs, lower, diag, upper = flow._stencil(kind, v, h, plane)
+        jac = np.empty((len(rhs), len(v)))
+        for j in range(len(v)):
+            bumped = v.copy()
+            bumped[j] += eps
+            jac[:, j] = (flow._stencil(kind, bumped, h, plane)[0] - rhs) / eps
+        rows = np.arange(len(rhs))
+        for offset, band in ((0, lower), (1, diag), (2, upper)):
+            fd = jac[rows, rows + offset]
+            assert np.max(np.abs(fd - band)) <= 1e-4 * np.max(np.abs(band))
 
 
 class TestEvolve:
@@ -350,6 +354,39 @@ def test_monotone_slope_preservation():
     gl = FlowGrid(FlowKind.LIGHTCONE, e, np.exp(e) + 0.0, 0.0)
     outl = evolve(gl, 0.05)[-1]
     assert np.min(np.diff(outl.values)) > 0
+
+
+# Random convex space-like graph data on 41 nodes of [-1, 1]: 40 positive
+# bends spread the cell slopes from lo up to hi, both inside [-0.8, 0.8].
+_CONVEX = st.tuples(
+    st.lists(st.floats(0.05, 1.0), min_size=40, max_size=40),
+    st.tuples(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8)).map(sorted)
+    .filter(lambda s: s[1] - s[0] > 0.05))
+
+
+def _convex_graph(data):
+    bends, (lo, hi) = data
+    nodes = np.linspace(-1.0, 1.0, 41)
+    slopes = lo + (hi - lo) * np.cumsum(bends) / np.sum(bends)
+    values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(nodes))))
+    return FlowGrid(FlowKind.GRAPH_Y, nodes, values, 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_CONVEX)
+def test_evolve_bit_deterministic(data):
+    g = _convex_graph(data)
+    a = evolve(g, 0.05, snapshot_every=0.01)
+    b = evolve(g, 0.05, snapshot_every=0.01)
+    assert [s.t for s in a] == [s.t for s in b]
+    assert all(s.values.tobytes() == r.values.tobytes() for s, r in zip(a, b))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_CONVEX)
+def test_evolved_graph_stays_space_like(data):
+    for snap in evolve(_convex_graph(data), 0.05, snapshot_every=0.01):
+        assert np.max(np.abs(np.diff(snap.values) / snap.h)) < 1.0
 
 
 def test_grid_to_curve_view():
