@@ -431,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp_.add_argument("--chart", default="taunu", choices=("taunu", "kl"))
         sp_.add_argument("--init", default="0,-1")
         sp_.add_argument("--s-max", type=float, default=20.0)
-        sp_.add_argument("--method", default="DOP853")
+        sp_.add_argument("--method", default="DOP853",
+                         choices=("DOP853", "Radau"))
         sp_.set_defaults(func=fn)
 
     ve = sub.add_parser("verify", help="residual-verify catalog entries")

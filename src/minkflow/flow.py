@@ -326,11 +326,11 @@ class ResidualReport:
 
     @property
     def max_abs(self) -> float:
-        return max(lv["max_abs"] for lv in self.levels)
+        return float(np.max([lv["max_abs"] for lv in self.levels]))
 
     @property
     def rms(self) -> float:
-        return max(lv["rms"] for lv in self.levels)
+        return float(np.max([lv["rms"] for lv in self.levels]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -372,18 +372,19 @@ def residual(kind: FlowKind, candidate: Callable, levels: Sequence[float],
 
 
 def _level(h: float, residuals) -> dict:
-    """One ``ResidualReport`` level: max |r| and rms over residual arrays."""
+    """One ``ResidualReport`` level: max |r| and rms over residual arrays;
+    a NaN anywhere makes both NaN."""
     worst, sumsq, count = 0.0, 0.0, 0
     for r in residuals:
-        worst = max(worst, float(np.max(np.abs(r))))
+        worst = float(np.maximum(worst, np.max(np.abs(r))))
         sumsq += float(np.sum(r * r))
         count += len(r)
     return {"h": float(h), "max_abs": worst, "rms": math.sqrt(sumsq / count)}
 
 
 def _observed_order(hs, errs) -> float | None:
-    if min(errs) <= 1e-13:
-        return None  # residual at the roundoff floor; order undefined
+    if not all(map(math.isfinite, errs)) or min(errs) <= 1e-13:
+        return None  # residual not finite or at the roundoff floor
     lo, le = np.log(np.asarray(hs)), np.log(np.asarray(errs))
     return float(np.polyfit(lo, le, 1)[0])
 

@@ -324,6 +324,10 @@ def read_curve_csv(path) -> Curve:
     data = np.atleast_2d(data)
     if data.shape[1] != 9:
         raise ValueError(f"expected 9 columns ({CSV_HEADER}), got {data.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: data row {bad[0] + 1} has a non-finite "
+                         "value (the first such row)")
     s, x, y = data[:, 0], data[:, 1], data[:, 2]
     theta, k, tau, nu = data[:, 5], data[:, 6], data[:, 7], data[:, 8]
     return Curve(s, x, y, theta, k, tau, nu)

@@ -31,6 +31,9 @@ from .hyperbolic import HyperbolicNumber
 
 BLOWUP_THRESHOLD = 1e8
 RTOL, ATOL = 1e-12, 1e-14
+# Past this |state| a phase side continues in phase arclength (see
+# integrate_phase); below it nothing changes.
+SWITCH_RADIUS = 100.0
 
 # Conserved quantities are monitored only while they are representable in
 # float64; outside these caps cancellation noise exceeds the drift budget.
@@ -50,6 +53,12 @@ class SolitonParams:
     a: float
     b: float
     C: HyperbolicNumber = HyperbolicNumber(0.0, 0.0)
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.C.x, self.C.y))):
+            raise InvalidParams(
+                f"soliton parameters must be finite, got a={self.a}, "
+                f"b={self.b}, C=({self.C.x}, {self.C.y})")
 
     @property
     def has_translation(self) -> bool:
@@ -244,6 +253,44 @@ def _phase_events(p: SolitonParams, chart: Chart, threshold: float):
     return [blowup, xi_axis, eta_axis, inflection]
 
 
+def _switch(s, u):
+    """Terminal event: the state leaves the disc |u| < SWITCH_RADIUS."""
+    return max(abs(u[0]), abs(u[1])) - SWITCH_RADIUS
+_switch.terminal = True
+_switch.direction = 1
+
+
+def _arclength_chart(f):
+    """u' = f(s, u) reparametrised by phase arclength r.
+
+    The state is U = (u, s) and dU/dr = (f, 1) / |f|, with |f| taken
+    over the two phase components.  Near a blow-up u' grows like |u|^2,
+    so in s the steps shrink like 1/|u|^2; in r the state moves at unit
+    speed and the steps grow with |u| instead.  f is autonomous, so s is
+    not passed on.
+    """
+    def rhs(r, U):
+        g = f(0.0, U[:3])
+        inv = 1.0 / math.hypot(g[0], g[1])
+        return (g[0] * inv, g[1] * inv, g[2] * inv, inv)
+    return rhs
+
+
+def _at_s(tail, f, s):
+    """States of the arclength-chart solution ``tail`` at the parameters
+    ``s``: Newton on the increasing s(r), whose slope is 1/|f|, started
+    by linear interpolation between the solver's steps."""
+    r = np.interp(s, tail.y[3], tail.t)
+    for _ in range(8):
+        U = tail.sol(r)
+        g = f(0.0, U[:3])
+        dr = (s - U[3]) * np.hypot(g[0], g[1])
+        r = np.clip(r + dr, 0.0, tail.t[-1])
+        if np.all(np.abs(dr) <= 4.0 * np.finfo(float).eps * r):
+            break
+    return tail.sol(r)[:3]
+
+
 def _sample_times(t_last: float, n: int) -> np.ndarray:
     if t_last <= 0.0:
         return np.array([0.0])
@@ -301,38 +348,71 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     curvature sign changes are recorded as events.  Trajectories hugging
     a strongly attracting slow manifold are stiff; pass method="Radau"
     for those.
+
+    A side whose state climbs through |state| = SWITCH_RADIUS continues
+    from there, with the same method, tolerances and events, in the
+    phase arclength chart of ``_arclength_chart``, where the approach to
+    the pole costs steps logarithmic in |state| rather than quadratic.
+    Samples up to the switch come from the first solution; later ones,
+    and the event locations, are mapped back to s through the s state
+    the chart carries.  A blow-up threshold at or below SWITCH_RADIUS
+    never switches.
     """
     from scipy.integrate import solve_ivp
     if p.has_translation:
         raise InvalidParams("phase-plane form requires C = 0")
     if chart is Chart.KL and p.a * p.a == p.b * p.b:
         raise InvalidParams("(k,l) chart is singular when a^2 = b^2")
+    if not all(map(math.isfinite, init)):
+        raise InvalidParams(f"initial state must be finite, got {tuple(init)}")
     theta0 = float(init[2]) if len(init) > 2 else 0.0
     u0 = (float(init[0]), float(init[1]), theta0)
     s_back, s_fwd = (s_max if isinstance(s_max, (tuple, list))
                      else (s_max, s_max))
+    if not all(math.isfinite(v) and v >= 0.0 for v in (s_back, s_fwd)):
+        raise InvalidParams(
+            f"s_max must be finite and non-negative, got {s_max}")
 
+    atol = np.full(4, atol)   # the fourth entry is for the chart's s
     if p.a == 0.0 and chart is Chart.TAU_NU:
         # nu decays like e^{-b s^2/2} and never changes sign; keep its
         # error control relative so the conserved quantity stays exact.
-        atol = np.array([atol, min(atol, 1e-290), atol])
+        atol[1] = min(atol[1], 1e-290)
 
     rhs, jac = _phase_rhs(p, chart)
     events = _phase_events(p, chart, blowup_threshold)
     if method not in ("Radau", "BDF", "LSODA"):
         jac = None
 
+    def solve(f, j, span, state, evs, tol):
+        return solve_ivp(f, (0.0, span), state, method=method, events=evs,
+                         rtol=rtol, atol=tol, dense_output=True,
+                         **({} if j is None else {"jac": j}))
+
     def side(f, j, span):
         """Samples, events and end of one side, out to |s| = span."""
         # An empty side reports no events, not the ones sitting at s = 0.
-        sol = None if span == 0.0 else solve_ivp(
-            f, (0.0, span), u0, method=method, events=events, rtol=rtol,
-            atol=atol, dense_output=True, **({} if j is None else {"jac": j}))
+        sol = None if span == 0.0 else solve(f, j, span, u0,
+                                             events + [_switch], atol[:3])
         s_last = 0.0 if sol is None else float(sol.t[-1])
-        t_events = [()] * 4 if sol is None else sol.t_events
+        found = [[float(t) for t in t_ev]
+                 for t_ev in ([()] * 4 if sol is None else sol.t_events[:4])]
+        tail = None
+        if sol is not None and len(sol.t_events[4]):
+            s_switch = s_last
+
+            def stop(r, U):
+                return U[3] - span
+            stop.terminal, stop.direction = True, 1
+            # Stiff methods difference the chart's Jacobian: it is formed
+            # a dozen times per tail, as fast as the product rule on jac.
+            tail = solve(_arclength_chart(f), None, math.inf,
+                         (*sol.y[:, -1], s_switch), events + [stop], atol)
+            for seen, y_ev in zip(found, tail.y_events):
+                seen += [float(y[3]) for y in y_ev]
+            s_last = span if len(tail.t_events[4]) else float(tail.y[3, -1])
+        blowup, xi, eta, inflection = found
         ts = _sample_times(s_last, n_per_side)
-        blowup, xi, eta, inflection = ([float(t) for t in t_ev]
-                                       for t_ev in t_events)
         if blowup and s_last > 0:
             # Resolve the divergence for curvature-limit detection; offsets
             # are absolute (pole width is O(1/|state|)) but stay above the
@@ -340,7 +420,15 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
             base = max(1e-9, 64.0 * np.finfo(float).eps * s_last)
             near = s_last - base * np.array([100.0, 10.0, 1.0])
             ts = np.unique(np.concatenate([ts, near, [s_last]]))
-        samples = sol.sol(ts) if s_last > 0 else np.array(u0, float)[:, None]
+        if s_last <= 0:
+            samples = np.array(u0, float)[:, None]
+        elif tail is None:
+            samples = sol.sol(ts)
+        else:
+            head = ts <= s_switch
+            samples = np.empty((3, len(ts)))
+            samples[:, head] = sol.sol(ts[head])
+            samples[:, ~head] = _at_s(tail, f, ts[~head])
         fp = None if blowup else _detect_fixed_point(p, chart,
                                                      samples[:2, -100:])
         end = {"kind": "blowup" if blowup else
@@ -389,6 +477,14 @@ def reconstruct(traj: Trajectory) -> Curve:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         pts = reconstruct_positions(traj.tau, traj.nu, traj.theta)
+        # Past SWITCH_RADIUS a blow-up runs along |tau| = |nu|, where the
+        # frame formula cancels two products of size |tau| cosh(theta),
+        # far larger than |X|; the diagonal components (tau -+ nu)
+        # e^{+-theta} subtract exactly.
+        far = np.maximum(np.abs(traj.tau), np.abs(traj.nu)) > SWITCH_RADIUS
+        tau, nu, theta = traj.tau[far], traj.nu[far], traj.theta[far]
+        xi, eta = (tau - nu) * np.exp(theta), (tau + nu) * np.exp(-theta)
+        pts[far] = np.column_stack([xi + eta, xi - eta]) / 2.0
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if len(bad):
         i = bad[0]
@@ -817,7 +913,7 @@ def screw_translate_curve(A: float, branch: int = -1,
     increasing xi (default: the rightmost).  The span must stay at least
     1e-8 away from every root of D.
     """
-    from scipy.integrate import quad
+    from scipy.integrate import tanhsinh
     branches = [b for b in screw_branches(A) if b["spacelike"]]
     if not branches:
         raise TimeLikeBranch(f"no space-like branch for A={A}")
@@ -840,15 +936,23 @@ def screw_translate_curve(A: float, branch: int = -1,
 
     D = _denominator(A)
     xis = np.linspace(xi_span[0], xi_span[1], n)
-    deta = np.empty(n - 1)
-    ds = np.empty(n - 1)
-    for i in range(n - 1):
-        deta[i] = quad(lambda u: 0.5 / D(u), xis[i], xis[i + 1],
-                       epsabs=1e-13, epsrel=1e-12)[0]
-        ds[i] = quad(lambda u: 1.0 / math.sqrt(2.0 * D(u)), xis[i],
-                     xis[i + 1], epsabs=1e-13, epsrel=1e-12)[0]
-    eta = np.concatenate([[0.0], np.cumsum(deta)])
-    s = np.concatenate([[0.0], np.cumsum(ds)])
+    lo, width = xis[:-1], np.diff(xis)
+
+    def cumulative(g):
+        """Integral of g(D) from xis[0] to each node: vectorized quadrature
+        over 512 cells a call (which bounds tanhsinh's work arrays), in the
+        offset t from each cell's left end.  D(lo + t) = D(lo) + t +
+        A e^{-lo} expm1(-t) keeps D's relative precision next to a root,
+        which lo + t would round off."""
+        cells = [tanhsinh(lambda t, d, c: g(d + t + c * np.expm1(-t)), 0.0,
+                          width[i:i + 512], args=(D(lo[i:i + 512]),
+                                                  A * np.exp(-lo[i:i + 512])),
+                          atol=1e-13, rtol=1e-12).integral
+                 for i in range(0, n - 1, 512)]
+        return np.concatenate([[0.0], np.cumsum(np.concatenate(cells))])
+
+    eta = cumulative(lambda d: 0.5 / d)
+    s = cumulative(lambda d: 1.0 / np.sqrt(2.0 * d))
 
     w = 2.0 * D(xis)              # xi'
     theta = 0.5 * np.log(w)

@@ -83,6 +83,45 @@ class TestSelfsimCommand:
             assert not (out / name).exists()
 
 
+    @pytest.mark.parametrize("flag, value", [("--s-max", "nan"),
+                                             ("--s-max", "inf"),
+                                             ("--a", "nan")])
+    def test_non_finite_input_refused(self, tmp_path, flag, value):
+        # Each used to hang in the ODE solver; each runs in a child with a
+        # timeout so that a regression fails instead of stalling the suite.
+        argv = {"--a": "0", "--b": "1", "--init": "0,-0.5", "--s-max": "8"}
+        argv[flag] = value
+        src = os.path.dirname(os.path.dirname(minkflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run(
+            [sys.executable, "-m", "minkflow.cli", "selfsim",
+             *(x for kv in argv.items() for x in kv),
+             "--out", str(tmp_path / "run")],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=60)
+        assert out.returncode == 2
+        assert "InvalidParams" in out.stderr and "finite" in out.stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("extra, words", [
+        (["--s-max", "-3"], "non-negative"),
+        (["--init", "0,inf"], "initial state must be finite")])
+    def test_bad_span_or_state_refused(self, tmp_path, capsys, extra, words):
+        out = tmp_path / "run"
+        code = run(["selfsim", "--a", "0", "--b", "1", "--init", "0,-0.5",
+                    "--out", str(out), *extra])
+        assert code == 2
+        assert words in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_method_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["selfsim", "--a", "0", "--b", "1", "--method", "foo"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
 class TestEvolveCommand:
     def test_catalog_initial(self, tmp_path):
         out = tmp_path / "ev"
@@ -311,6 +350,22 @@ def test_plot_command(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("<?xml")
     assert text.count("<polyline") == 1
+
+
+def test_plot_refuses_non_finite_row(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["selfsim", "--a", "0", "--b", "1", "--init", "0,-1",
+                "--s-max", "2", "--out", str(out)]) == 0
+    rows = (out / "curve.csv").read_text().splitlines()
+    cells = rows[3].split(",")
+    cells[2] = "nan"
+    rows[3] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    target = tmp_path / "curve.svg"
+    assert run(["plot", str(bad), "--out-file", str(target)]) == 2
+    assert "data row 3 has a non-finite value" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_config_file(tmp_path, capsys):

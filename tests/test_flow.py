@@ -243,6 +243,22 @@ class TestResidual:
                        plane=Plane.EUCLIDEAN)
         assert rep.observed_order == pytest.approx(2.0, abs=0.1)
 
+    def test_nan_at_one_probe_time_fails(self):
+        # max(worst, nan) used to keep worst, so a candidate that is NaN at
+        # a whole probe time reported a finite max and order 2.
+        assert math.isnan(flow._level(0.1, [np.array([1e-4, np.nan])])
+                          ["max_abs"])
+
+        def candidate(p, t):
+            v = t + np.log(np.cosh(p))
+            return np.full_like(v, np.nan) if t == 0.5 else v
+        rep = residual(FlowKind.GRAPH_Y, candidate, (0.02, 0.01, 0.005),
+                       (0.0, 0.5), (-1, 1))
+        assert all(math.isnan(lv["max_abs"]) and math.isnan(lv["rms"])
+                   for lv in rep.levels)
+        assert math.isnan(rep.max_abs) and math.isnan(rep.rms)
+        assert rep.observed_order is None
+
     def test_report_json_shape(self):
         rep = residual(FlowKind.GRAPH_Y, lambda p, t: t + np.log(np.cosh(p)),
                        (0.02, 0.01), (0.0,), (-1, 1))

@@ -111,6 +111,24 @@ class TestIntegratePhase:
         with pytest.raises(InvalidParams):
             ss.integrate_phase(SolitonParams(0, 0, HN(1, 0)))
 
+    @pytest.mark.parametrize("a, b, C", [
+        (math.nan, 1.0, HN(0.0, 0.0)), (0.0, math.inf, HN(0.0, 0.0)),
+        (1.0, 1.0, HN.from_diagonal(0.0, math.nan))])
+    def test_non_finite_params_refused(self, a, b, C):
+        with pytest.raises(InvalidParams, match="must be finite"):
+            SolitonParams(a, b, C)
+
+    # A NaN or infinite span used to hang the solver; test_cli runs those
+    # in a child process with a timeout.
+    @pytest.mark.parametrize("init, s_max", [
+        ((0.0, math.inf), 8.0), ((math.nan, -0.5), 8.0),
+        ((0.0, -0.5, math.nan), 8.0), ((0.0, -0.5), -3.0),
+        ((0.0, -0.5), (2.0, -1.0))])
+    def test_bad_input_refused(self, init, s_max):
+        with pytest.raises(InvalidParams):
+            ss.integrate_phase(SolitonParams(0.0, 1.0), Chart.TAU_NU, init,
+                               s_max=s_max)
+
     def test_kl_chart_rejected_for_degenerate(self):
         with pytest.raises(InvalidParams):
             ss.integrate_phase(SolitonParams(1.0, 1.0), Chart.KL)
@@ -144,6 +162,95 @@ class TestIntegratePhase:
         # the blow-up parameter is located far tighter than 1e-6
         s_end = traj.events["blowups"][-1]
         assert abs(s_end - traj.s[-1]) < 1e-9
+
+
+# Blow-up parameters of the forward side, recorded when every step was
+# taken in s (before the phase-arclength continuation existed).
+SIG_ROT, SIG_SCREW = 1e6, 2e6
+NU_ROT = -(3.0 * SIG_ROT) ** (1.0 / 3.0)
+BLOWUP_RUNS = {
+    "rotation trapped": (
+        (SolitonParams(1.0, 0.0), Chart.TAU_NU,
+         (-1.0 / NU_ROT * (1.0 - 1.0 / NU_ROT ** 4), NU_ROT), (0.0, 2e6),
+         {"method": "Radau", "rtol": 1e-10, "atol": 1e-12,
+          "blowup_threshold": 1e6}),
+        1000003.1793964866),
+    "screw beta>1 trapped": (
+        (SolitonParams(1.0, -2.0), Chart.KL,
+         (1.0 / (2 * SIG_SCREW), -2 * SIG_SCREW), (0.0, 5e6),
+         {"method": "Radau", "rtol": 1e-10, "atol": 1e-12,
+          "blowup_threshold": 1e6}),
+        2000000.7532083928),
+    "contraction": (
+        (SolitonParams(0.0, -1.0), Chart.TAU_NU, (0.0, 1.0), 20.0, {}),
+        1.2586883293483402),
+}
+
+
+class TestArclengthTail:
+    """Past |state| = SWITCH_RADIUS a side continues in phase arclength."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        chart = ss._arclength_chart
+
+        def wrapped(f):
+            calls.append(f)
+            return chart(f)
+        monkeypatch.setattr(ss, "_arclength_chart", wrapped)
+        return calls
+
+    @staticmethod
+    def in_s_only(*args, **kw):
+        """The same run with every step taken in s."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ss, "SWITCH_RADIUS", math.inf)
+            return ss.integrate_phase(*args, **kw)
+
+    @pytest.mark.parametrize("name", sorted(BLOWUP_RUNS))
+    def test_blowup_s_unchanged(self, name, monkeypatch):
+        calls = self.counted(monkeypatch)
+        (p, chart, init, s_max, kw), s_blow = BLOWUP_RUNS[name]
+        traj = ss.integrate_phase(p, chart, init, s_max=s_max, **kw)
+        assert calls, "the run never switched chart"
+        assert traj.ends["forward"]["kind"] == "blowup"
+        assert traj.events["blowups"][-1] == pytest.approx(s_blow, rel=1e-9)
+        assert traj.s[-1] == traj.events["blowups"][-1]
+
+    def test_cut_inside_tail(self, monkeypatch):
+        # s_max = 1.258 ends both sides between the switch (|s| ~ 1.2489)
+        # and the pole (|s| ~ 1.25869), so both sampling grids are the
+        # same as in the s-only run.
+        p, args = SolitonParams(0.0, -1.0), (Chart.TAU_NU, (0.0, 1.0))
+        calls = self.counted(monkeypatch)
+        traj = ss.integrate_phase(p, *args, s_max=1.258)
+        ref = self.in_s_only(p, *args, s_max=1.258)
+        assert len(calls) == 2
+        assert np.array_equal(traj.s, ref.s)
+        assert traj.s_span == (-1.258, 1.258)
+        before = np.maximum(np.abs(ref.tau), np.abs(ref.nu)) < ss.SWITCH_RADIUS
+        assert 0 < np.count_nonzero(~before) < 200
+        for key in ("tau", "nu", "theta"):
+            new, old = getattr(traj, key), getattr(ref, key)
+            assert np.array_equal(new[before], old[before]), key
+            assert np.allclose(new, old, rtol=1e-9, atol=0.0), key
+        assert traj.events == ref.events
+        for side, i in (("backward", 0), ("forward", -1)):
+            assert traj.ends[side]["kind"] == "unresolved"
+            assert math.isfinite(traj.k[i]) and 1e3 < abs(traj.k[i]) < 1e4
+
+    def test_threshold_below_radius_never_switches(self, monkeypatch):
+        p, args = SolitonParams(0.0, -1.0), (Chart.TAU_NU, (0.0, 1.0))
+        kw = {"s_max": 20.0, "blowup_threshold": 0.5 * ss.SWITCH_RADIUS}
+        calls = self.counted(monkeypatch)
+        traj = ss.integrate_phase(p, *args, **kw)
+        ref = self.in_s_only(p, *args, **kw)
+        assert not calls
+        assert traj.ends["forward"]["kind"] == "blowup"
+        for key in ("s", "tau", "nu", "theta"):
+            assert np.array_equal(getattr(traj, key), getattr(ref, key)), key
+        assert traj.events == ref.events
 
 
 class TestReconstruct:
@@ -181,6 +288,28 @@ class TestReconstruct:
         assert np.max(np.abs(traj.theta)) > 711.0
         with pytest.raises(NonFiniteCurve, match=r"at s=\S+, theta=7\d\d\."):
             ss.reconstruct(traj)
+
+    def test_light_like_state_positions(self):
+        # States on the light-like diagonal |tau| ~ |nu| >> 1, as at a
+        # blow-up: tau + nu is exact here, so the position is known to
+        # the last bits; the frame products |tau| cosh(theta) ~ 1e15 would
+        # round it to whole units.
+        from mpmath import mp, mpf, exp
+        mp.dps = 40
+        big = 2.0 ** 26
+        tau = np.full(5, -big)
+        nu = big + np.arange(1, 6) * 2.0 ** -24
+        theta = -np.array([17.0, 17.5, 18.0, 18.5, 19.0])
+        n = len(tau)
+        traj = ss.Trajectory(SolitonParams(0.0, -1.0), Chart.TAU_NU,
+                             np.arange(n, dtype=float), tau, nu, theta,
+                             nu.copy(), tau.copy(), {}, {})
+        c = ss.reconstruct(traj)
+        for i in range(n):
+            t, v, th = mpf(tau[i]), mpf(nu[i]), mpf(theta[i])
+            xi, eta = (t - v) * exp(th), (t + v) * exp(-th)
+            assert abs(c.x[i] - float((xi + eta) / 2)) < 1e-13 * abs(c.x[i])
+            assert abs(c.y[i] - float((xi - eta) / 2)) < 1e-13 * abs(c.y[i])
 
     def test_kl_reconstruct_requires_invertible_chart(self):
         p = SolitonParams(1.0, -0.5)
@@ -399,6 +528,19 @@ class TestScrewTranslateCurve:
                                      n=801)
         shift = c.eta[0] - 0.5 * math.log(c.xi[0] - 1.0)
         assert np.max(np.abs(c.xi - (np.exp(2 * (c.eta - shift)) + 1))) < 1e-9
+
+    def test_a0_quadrature_next_to_root(self):
+        # A = 0 has eta = (1/2) log((xi - 1)/(xi0 - 1)) and
+        # s = sqrt(2 (xi - 1)) - sqrt(2 (xi0 - 1)); the span starts 1e-6
+        # from the root xi = 1, where 1/D loses digits unless each cell
+        # is integrated in its own offset.
+        c = ss.screw_translate_curve(0.0, branch=-1,
+                                     xi_span=(1.0 + 1e-6, 9.0), n=6001)
+        d0 = c.xi[0] - 1.0
+        eta = 0.5 * np.log((c.xi - 1.0) / d0)
+        assert np.max(np.abs((c.eta - c.eta[0]) - eta)) < 1e-12
+        s = np.sqrt(2.0 * (c.xi - 1.0)) - math.sqrt(2.0 * d0)
+        assert np.max(np.abs((c.s - c.s[0]) - s)) < 1e-12
 
     def test_branch_structure(self):
         assert ss.screw_roots(0.0) == [pytest.approx(1.0)]
