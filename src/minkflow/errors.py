@@ -61,6 +61,10 @@ class BranchContainsRoot(MinkflowError):
     """Requested quadrature span crosses a root of the denominator."""
 
 
+class QuadratureFailed(MinkflowError):
+    """Adaptive quadrature stopped short of its tolerance on some cell."""
+
+
 class TimeLikeBranch(MinkflowError):
     """Selected branch has negative slope and is time-like, not space-like."""
 

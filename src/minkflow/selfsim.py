@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (BranchContainsRoot, Inconclusive, InvalidParams,
-                     NoInvariantKnown, NonFiniteCurve, TimeLikeBranch)
+                     NoInvariantKnown, NonFiniteCurve, QuadratureFailed,
+                     TimeLikeBranch)
 from .geometry import (SLOPE_TOL, Curve, CurveSample, _graph_curve,
                        _lightcone_curve, _rebase, _support_from_frame,
                        reconstruct_positions)
@@ -260,35 +261,71 @@ _switch.terminal = True
 _switch.direction = 1
 
 
-def _arclength_chart(f):
-    """u' = f(s, u) reparametrised by phase arclength r.
+def _diagonal_field(p: SolitonParams, chart: Chart):
+    """The phase system in the diagonal components P = u0 + u1 and
+    Q = u0 - u1: returns field(P, Q) -> (P', Q', k), where theta' = k.
 
-    The state is U = (u, s) and dU/dr = (f, 1) / |f|, with |f| taken
-    over the two phase components.  Near a blow-up u' grows like |u|^2,
-    so in s the steps shrink like 1/|u|^2; in r the state moves at unit
-    speed and the steps grow with |u| instead.  f is autonomous, so s is
-    not passed on.
+    In both charts P' = cP + k P and Q' = cQ - k Q, with k linear in
+    (P, Q).  Near a blow-up one component grows like 1/(s_pole - s) and
+    the other shrinks like 1/|k|; written this way each keeps its own
+    relative precision, which u0 and u1, both of size |k|, cannot.
     """
-    def rhs(r, U):
-        g = f(0.0, U[:3])
-        inv = 1.0 / math.hypot(g[0], g[1])
-        return (g[0] * inv, g[1] * inv, g[2] * inv, inv)
+    a, b = p.a, p.b
+    if chart is Chart.TAU_NU:
+        cP, cQ, kP, kQ = 1.0, 1.0, 0.5 * (a - b), 0.5 * (a + b)
+    else:
+        cP, cQ, kP, kQ = a - b, a + b, 0.5, 0.5
+
+    def field(P, Q):
+        k = kP * P + kQ * Q
+        return cP + k * P, cQ - k * Q, k
+    return field
+
+
+def _tail_chart(field, sign: float):
+    """The phase system, run forward (sign +1) or mirrored (sign -1), in
+    the diagonal components and reparametrised by phase arclength r.
+
+    The state is V = (P, Q, theta, s) and dV/dr = (sign F, 1) / |F|,
+    with F = (P', Q', theta') and |F| over (P', Q').  Near a blow-up F
+    grows like |V|^2, so in s the steps shrink like 1/|V|^2; in r the
+    state moves at unit speed and the steps grow with |V| instead.
+    """
+    def rhs(r, V):
+        dP, dQ, k = field(V[0], V[1])
+        inv = 1.0 / math.hypot(dP, dQ)
+        return (sign * dP * inv, sign * dQ * inv, sign * k * inv, inv)
     return rhs
 
 
-def _at_s(tail, f, s):
-    """States of the arclength-chart solution ``tail`` at the parameters
-    ``s``: Newton on the increasing s(r), whose slope is 1/|f|, started
-    by linear interpolation between the solver's steps."""
+def _tail_events(field, threshold: float, span: float):
+    """``_phase_events`` on the tail state V, each read off the diagonal
+    components directly, and a terminal stop at s = span."""
+    def blowup(r, V):
+        return 0.5 * (abs(V[0]) + abs(V[1])) - threshold   # max |u_i|
+    blowup.terminal, blowup.direction = True, 1
+
+    def stop(r, V):
+        return V[3] - span
+    stop.terminal, stop.direction = True, 1
+    return [blowup, lambda r, V: V[0], lambda r, V: V[1],
+            lambda r, V: field(V[0], V[1])[2], stop]
+
+
+def _at_s(tail, field, s):
+    """Phase states (u0, u1, theta) of the tail-chart solution ``tail`` at
+    the parameters ``s``: Newton on the increasing s(r), whose slope is
+    1/|F|, started by linear interpolation between the solver's steps."""
     r = np.interp(s, tail.y[3], tail.t)
     for _ in range(8):
-        U = tail.sol(r)
-        g = f(0.0, U[:3])
-        dr = (s - U[3]) * np.hypot(g[0], g[1])
+        V = tail.sol(r)
+        dP, dQ, _ = field(V[0], V[1])
+        dr = (s - V[3]) * np.hypot(dP, dQ)
         r = np.clip(r + dr, 0.0, tail.t[-1])
         if np.all(np.abs(dr) <= 4.0 * np.finfo(float).eps * r):
             break
-    return tail.sol(r)[:3]
+    P, Q, theta, _ = tail.sol(r)
+    return np.array([0.5 * (P + Q), 0.5 * (P - Q), theta])
 
 
 def _sample_times(t_last: float, n: int) -> np.ndarray:
@@ -350,13 +387,16 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     for those.
 
     A side whose state climbs through |state| = SWITCH_RADIUS continues
-    from there, with the same method, tolerances and events, in the
-    phase arclength chart of ``_arclength_chart``, where the approach to
-    the pole costs steps logarithmic in |state| rather than quadratic.
-    Samples up to the switch come from the first solution; later ones,
-    and the event locations, are mapped back to s through the s state
-    the chart carries.  A blow-up threshold at or below SWITCH_RADIUS
-    never switches.
+    from there, with the same method and rtol and the same events, in
+    the chart of ``_tail_chart``: the diagonal components u0 +- u1,
+    which keep the small one's relative precision, against phase
+    arclength, in which the approach to the pole costs steps logarithmic
+    in |state| rather than quadratic.  Samples up to the switch come
+    from the first solution; later ones, and the event locations, are
+    mapped back to s through the s state the chart carries.  A blow-up
+    threshold at or below SWITCH_RADIUS never switches.  Should the tail
+    stop on a step-size failure (its chart is singular where the field
+    vanishes), the side is solved in s throughout instead.
     """
     from scipy.integrate import solve_ivp
     if p.has_translation:
@@ -373,14 +413,15 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
         raise InvalidParams(
             f"s_max must be finite and non-negative, got {s_max}")
 
-    atol = np.full(4, atol)   # the fourth entry is for the chart's s
+    tail_atol = atol   # drift is monitored only well below the switch
     if p.a == 0.0 and chart is Chart.TAU_NU:
         # nu decays like e^{-b s^2/2} and never changes sign; keep its
         # error control relative so the conserved quantity stays exact.
-        atol[1] = min(atol[1], 1e-290)
+        atol = np.array([atol, min(atol, 1e-290), atol])
 
     rhs, jac = _phase_rhs(p, chart)
     events = _phase_events(p, chart, blowup_threshold)
+    field = _diagonal_field(p, chart)
     if method not in ("Radau", "BDF", "LSODA"):
         jac = None
 
@@ -393,24 +434,31 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
         """Samples, events and end of one side, out to |s| = span."""
         # An empty side reports no events, not the ones sitting at s = 0.
         sol = None if span == 0.0 else solve(f, j, span, u0,
-                                             events + [_switch], atol[:3])
+                                             events + [_switch], atol)
+        switched = sol is not None and sol.t_events[4].size > 0
+        tail = None
+        if switched and not sol.t_events[0].size:
+            s_switch = float(sol.t[-1])
+            U = sol.y[:, -1]
+            # _both_ways hands the backward side the mirrored rhs.  Stiff
+            # methods difference the chart's Jacobian, which they form
+            # only 10-20 times per tail.
+            tail = solve(_tail_chart(field, 1.0 if f is rhs else -1.0), None,
+                         math.inf, (U[0] + U[1], U[0] - U[1], U[2], s_switch),
+                         _tail_events(field, blowup_threshold, span),
+                         tail_atol)
+            if tail.status == -1:
+                # The chart is singular where F vanishes, as at a rest
+                # state past the radius: finish this side in s instead.
+                tail = None
+                sol = solve(f, j, span, u0, events, atol)
         s_last = 0.0 if sol is None else float(sol.t[-1])
         found = [[float(t) for t in t_ev]
                  for t_ev in ([()] * 4 if sol is None else sol.t_events[:4])]
-        tail = None
-        if sol is not None and len(sol.t_events[4]):
-            s_switch = s_last
-
-            def stop(r, U):
-                return U[3] - span
-            stop.terminal, stop.direction = True, 1
-            # Stiff methods difference the chart's Jacobian: it is formed
-            # a dozen times per tail, as fast as the product rule on jac.
-            tail = solve(_arclength_chart(f), None, math.inf,
-                         (*sol.y[:, -1], s_switch), events + [stop], atol)
+        if tail is not None:
             for seen, y_ev in zip(found, tail.y_events):
                 seen += [float(y[3]) for y in y_ev]
-            s_last = span if len(tail.t_events[4]) else float(tail.y[3, -1])
+            s_last = span if tail.t_events[4].size else float(tail.y[3, -1])
         blowup, xi, eta, inflection = found
         ts = _sample_times(s_last, n_per_side)
         if blowup and s_last > 0:
@@ -428,7 +476,7 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
             head = ts <= s_switch
             samples = np.empty((3, len(ts)))
             samples[:, head] = sol.sol(ts[head])
-            samples[:, ~head] = _at_s(tail, f, ts[~head])
+            samples[:, ~head] = _at_s(tail, field, ts[~head])
         fp = None if blowup else _detect_fixed_point(p, chart,
                                                      samples[:2, -100:])
         end = {"kind": "blowup" if blowup else
@@ -477,14 +525,6 @@ def reconstruct(traj: Trajectory) -> Curve:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         pts = reconstruct_positions(traj.tau, traj.nu, traj.theta)
-        # Past SWITCH_RADIUS a blow-up runs along |tau| = |nu|, where the
-        # frame formula cancels two products of size |tau| cosh(theta),
-        # far larger than |X|; the diagonal components (tau -+ nu)
-        # e^{+-theta} subtract exactly.
-        far = np.maximum(np.abs(traj.tau), np.abs(traj.nu)) > SWITCH_RADIUS
-        tau, nu, theta = traj.tau[far], traj.nu[far], traj.theta[far]
-        xi, eta = (tau - nu) * np.exp(theta), (tau + nu) * np.exp(-theta)
-        pts[far] = np.column_stack([xi + eta, xi - eta]) / 2.0
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if len(bad):
         i = bad[0]
@@ -944,11 +984,19 @@ def screw_translate_curve(A: float, branch: int = -1,
         offset t from each cell's left end.  D(lo + t) = D(lo) + t +
         A e^{-lo} expm1(-t) keeps D's relative precision next to a root,
         which lo + t would round off."""
-        cells = [tanhsinh(lambda t, d, c: g(d + t + c * np.expm1(-t)), 0.0,
-                          width[i:i + 512], args=(D(lo[i:i + 512]),
-                                                  A * np.exp(-lo[i:i + 512])),
-                          atol=1e-13, rtol=1e-12).integral
-                 for i in range(0, n - 1, 512)]
+        cells = []
+        for i in range(0, n - 1, 512):
+            res = tanhsinh(lambda t, d, c: g(d + t + c * np.expm1(-t)), 0.0,
+                           width[i:i + 512], args=(D(lo[i:i + 512]),
+                                                   A * np.exp(-lo[i:i + 512])),
+                           atol=1e-13, rtol=1e-12)
+            if not np.all(res.success):
+                j = i + int(np.argmin(res.success))
+                raise QuadratureFailed(
+                    f"screw quadrature did not converge on the cell "
+                    f"[{xis[j]:.17g}, {xis[j + 1]:.17g}] of xi (the first "
+                    f"such cell; status {int(res.status[j - i])})")
+            cells.append(res.integral)
         return np.concatenate([[0.0], np.cumsum(np.concatenate(cells))])
 
     eta = cumulative(lambda d: 0.5 / d)

@@ -8,7 +8,7 @@ from minkflow import geometry as geo
 from minkflow import selfsim as ss
 from minkflow.errors import (BranchContainsRoot, Inconclusive, InvalidParams,
                              NoInvariantKnown, NonFiniteCurve,
-                             TimeLikeBranch)
+                             QuadratureFailed, TimeLikeBranch)
 from minkflow.hyperbolic import HyperbolicNumber as HN
 from minkflow.selfsim import Chart, SolitonParams, motion_law
 
@@ -193,12 +193,12 @@ class TestArclengthTail:
     @staticmethod
     def counted(monkeypatch):
         calls = []
-        chart = ss._arclength_chart
+        chart = ss._tail_chart
 
-        def wrapped(f):
-            calls.append(f)
-            return chart(f)
-        monkeypatch.setattr(ss, "_arclength_chart", wrapped)
+        def wrapped(*args):
+            calls.append(args)
+            return chart(*args)
+        monkeypatch.setattr(ss, "_tail_chart", wrapped)
         return calls
 
     @staticmethod
@@ -253,6 +253,47 @@ class TestArclengthTail:
         assert traj.events == ref.events
 
 
+    def test_tail_adds_no_crossing(self, monkeypatch):
+        # Radau at the default tolerance on a non-stiff blow-up (the
+        # backward side of `selfsim --a 1 --b 0 --init 0,0.5 --method
+        # Radau`); the crossing was recorded when every step was taken in
+        # s.  A tail carried in (u0, u1) cannot hold u0 - u1 ~ 1/|u| next
+        # to |u| ~ 1e8 and listed a spurious eta crossing 3e-8 before the
+        # pole.
+        calls = self.counted(monkeypatch)
+        traj = ss.integrate_phase(SolitonParams(1.0, 0.0), Chart.TAU_NU,
+                                  (0.0, 0.5), s_max=(20.0, 0.0),
+                                  method="Radau")
+        assert len(calls) == 1
+        assert traj.events["blowups"] == [
+            pytest.approx(-2.363688465357804, rel=1e-9)]
+        [xi] = traj.events["crossings"]
+        assert xi["axis"] == "xi"
+        assert xi["s"] == pytest.approx(-0.5213569785639877, rel=1e-9)
+        assert traj.events["inflections"] == [0.0]
+
+    def test_failed_tail_finishes_in_s(self, monkeypatch):
+        # A tail that stops on a step-size failure is dropped and the
+        # side is solved in s, as if it had never switched.
+        import scipy.integrate
+        solve_ivp, tails = scipy.integrate.solve_ivp, []
+
+        def failing_tail(f, t_span, *args, **kw):
+            sol = solve_ivp(f, t_span, *args, **kw)
+            if t_span[1] == math.inf:
+                tails.append(sol)
+                sol.status = -1
+            return sol
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", failing_tail)
+        p, args = SolitonParams(0.0, -1.0), (Chart.TAU_NU, (0.0, 1.0))
+        traj = ss.integrate_phase(p, *args, s_max=20.0)
+        assert len(tails) == 2
+        ref = self.in_s_only(p, *args, s_max=20.0)
+        for key in ("s", "tau", "nu", "theta"):
+            assert np.array_equal(getattr(traj, key), getattr(ref, key)), key
+        assert traj.events == ref.events and traj.ends == ref.ends
+
+
 class TestReconstruct:
     def test_fixed_point_gives_unit_hyperbola(self):
         p = SolitonParams(0.0, 1.0)
@@ -288,28 +329,6 @@ class TestReconstruct:
         assert np.max(np.abs(traj.theta)) > 711.0
         with pytest.raises(NonFiniteCurve, match=r"at s=\S+, theta=7\d\d\."):
             ss.reconstruct(traj)
-
-    def test_light_like_state_positions(self):
-        # States on the light-like diagonal |tau| ~ |nu| >> 1, as at a
-        # blow-up: tau + nu is exact here, so the position is known to
-        # the last bits; the frame products |tau| cosh(theta) ~ 1e15 would
-        # round it to whole units.
-        from mpmath import mp, mpf, exp
-        mp.dps = 40
-        big = 2.0 ** 26
-        tau = np.full(5, -big)
-        nu = big + np.arange(1, 6) * 2.0 ** -24
-        theta = -np.array([17.0, 17.5, 18.0, 18.5, 19.0])
-        n = len(tau)
-        traj = ss.Trajectory(SolitonParams(0.0, -1.0), Chart.TAU_NU,
-                             np.arange(n, dtype=float), tau, nu, theta,
-                             nu.copy(), tau.copy(), {}, {})
-        c = ss.reconstruct(traj)
-        for i in range(n):
-            t, v, th = mpf(tau[i]), mpf(nu[i]), mpf(theta[i])
-            xi, eta = (t - v) * exp(th), (t + v) * exp(-th)
-            assert abs(c.x[i] - float((xi + eta) / 2)) < 1e-13 * abs(c.x[i])
-            assert abs(c.y[i] - float((xi - eta) / 2)) < 1e-13 * abs(c.y[i])
 
     def test_kl_reconstruct_requires_invertible_chart(self):
         p = SolitonParams(1.0, -0.5)
@@ -541,6 +560,16 @@ class TestScrewTranslateCurve:
         assert np.max(np.abs((c.eta - c.eta[0]) - eta)) < 1e-12
         s = np.sqrt(2.0 * (c.xi - 1.0)) - math.sqrt(2.0 * d0)
         assert np.max(np.abs((c.s - c.s[0]) - s)) < 1e-12
+
+    def test_unconverged_cell_is_refused(self, monkeypatch):
+        import functools
+        import scipy.integrate
+        monkeypatch.setattr(scipy.integrate, "tanhsinh", functools.partial(
+            scipy.integrate.tanhsinh, maxlevel=3))
+        with pytest.raises(QuadratureFailed,
+                           match=r"cell \[1\.000000999\d*, 1\.00400"):
+            ss.screw_translate_curve(0.0, branch=-1,
+                                     xi_span=(1.0 + 1e-6, 9.0))
 
     def test_branch_structure(self):
         assert ss.screw_roots(0.0) == [pytest.approx(1.0)]
