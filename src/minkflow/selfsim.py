@@ -395,8 +395,9 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     from the first solution; later ones, and the event locations, are
     mapped back to s through the s state the chart carries.  A blow-up
     threshold at or below SWITCH_RADIUS never switches.  Should the tail
-    stop on a step-size failure (its chart is singular where the field
-    vanishes), the side is solved in s throughout instead.
+    stop on a step-size failure (its field overflows past |state| ~ 1e154,
+    and its chart is singular where the field vanishes), the side is
+    solved in s throughout instead.
     """
     from scipy.integrate import solve_ivp
     if p.has_translation:
@@ -413,7 +414,9 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
         raise InvalidParams(
             f"s_max must be finite and non-negative, got {s_max}")
 
-    tail_atol = atol   # drift is monitored only well below the switch
+    # The tail keeps the scalar atol: drift is monitored only below
+    # STATE_CAP, far under the switch.
+    tail_atol = atol
     if p.a == 0.0 and chart is Chart.TAU_NU:
         # nu decays like e^{-b s^2/2} and never changes sign; keep its
         # error control relative so the conserved quantity stays exact.
@@ -442,14 +445,17 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
             U = sol.y[:, -1]
             # _both_ways hands the backward side the mirrored rhs.  Stiff
             # methods difference the chart's Jacobian, which they form
-            # only 10-20 times per tail.
-            tail = solve(_tail_chart(field, 1.0 if f is rhs else -1.0), None,
-                         math.inf, (U[0] + U[1], U[0] - U[1], U[2], s_switch),
-                         _tail_events(field, blowup_threshold, span),
-                         tail_atol)
+            # only 10-20 times per tail.  A threshold past ~1e154
+            # overflows F, and the solver then stops as below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                tail = solve(_tail_chart(field, 1.0 if f is rhs else -1.0),
+                             None, math.inf,
+                             (U[0] + U[1], U[0] - U[1], U[2], s_switch),
+                             _tail_events(field, blowup_threshold, span),
+                             tail_atol)
             if tail.status == -1:
-                # The chart is singular where F vanishes, as at a rest
-                # state past the radius: finish this side in s instead.
+                # A step-size failure: F overflowed, or the chart met a
+                # point where F vanishes.  Finish this side in s instead.
                 tail = None
                 sol = solve(f, j, span, u0, events, atol)
         s_last = 0.0 if sol is None else float(sol.t[-1])
