@@ -188,7 +188,8 @@ BLOWUP_RUNS = {
 
 
 class TestArclengthTail:
-    """Past |state| = SWITCH_RADIUS a side continues in phase arclength."""
+    """Past |state| = SWITCH_RADIUS a side continues in the diagonal
+    components against phase arclength."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -251,7 +252,6 @@ class TestArclengthTail:
         for key in ("s", "tau", "nu", "theta"):
             assert np.array_equal(getattr(traj, key), getattr(ref, key)), key
         assert traj.events == ref.events
-
 
     def test_tail_adds_no_crossing(self, monkeypatch):
         # Radau at the default tolerance on a non-stiff blow-up (the
