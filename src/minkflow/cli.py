@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -200,8 +201,23 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
+def _numbers(flag: str, text: str, counts: tuple) -> tuple:
+    """The comma-separated numbers given to ``flag``; there must be one
+    of ``counts`` of them."""
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise InvalidParams(f"{flag} takes comma-separated numbers, "
+                            f"not {text!r}") from None
+    if len(values) not in counts:
+        raise InvalidParams(
+            f"{flag} takes {' or '.join(map(str, counts))} comma-separated "
+            f"numbers, not {len(values)} ({text!r})")
+    return values
+
+
 def _soliton_params(args) -> SolitonParams:
-    cx, cy = (float(v) for v in args.C.split(","))
+    cx, cy = _numbers("--C", args.C, (2,))
     if args.C_basis == "diagonal":
         C = HyperbolicNumber.from_diagonal(cx, cy)
     else:
@@ -211,7 +227,7 @@ def _soliton_params(args) -> SolitonParams:
 
 def _run_trajectory(args):
     p = _soliton_params(args)
-    init = tuple(float(v) for v in args.init.split(","))
+    init = _numbers("--init", args.init, (2, 3))
     chart = Chart.TAU_NU if args.chart == "taunu" else Chart.KL
     traj = selfsim.integrate_phase(p, chart, init, s_max=args.s_max,
                                    method=args.method)
@@ -232,7 +248,7 @@ def cmd_selfsim(args) -> int:
                   _json_dumps(traj.events))
     geometry.write_curve_csv(curve, os.path.join(args.out, "curve.csv"))
     _atomic_write(os.path.join(args.out, "classification.json"),
-                  _json_dumps(report.to_json_dict()))
+                  _json_dumps(dataclasses.asdict(report)))
     print(f"trajectory, curve and classification written to {args.out}")
     return EXIT_OK
 
@@ -240,7 +256,7 @@ def cmd_selfsim(args) -> int:
 def cmd_classify(args) -> int:
     p, traj = _run_trajectory(args)
     report = selfsim.classify(p, traj)
-    text = _json_dumps(report.to_json_dict())
+    text = _json_dumps(dataclasses.asdict(report))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _atomic_write(os.path.join(args.out, "classification.json"), text)
@@ -257,7 +273,7 @@ def cmd_verify(args) -> int:
     results = [catalog.verify_all(only=[n], order_tol=order_tol)[0]
                for n in names]
     payload = [{"name": r["name"], "passed": r["passed"],
-                "report": r["report"].to_json_dict()} for r in results]
+                "report": dataclasses.asdict(r["report"])} for r in results]
     text = _json_dumps(payload)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -332,6 +348,9 @@ _INVARIANT_MOTIONS = {
 def _invariant_setup(args):
     kind = invariants.InvariantKind(args.kind)
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise InvalidParams(
+            f"--params must be a JSON object, not {args.params!r}")
     spec = invariants.InvariantCurveSpec(kind, params)
     span = tuple(args.span)
     curve = invariants.make_invariant_curve(spec, span, n=args.n)

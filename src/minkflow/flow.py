@@ -332,15 +332,6 @@ class ResidualReport:
     def rms(self) -> float:
         return float(np.max([lv["rms"] for lv in self.levels]))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "plane": self.plane,
-            "times": list(self.times),
-            "levels": self.levels,
-            "observed_order": self.observed_order,
-        }
-
 
 def residual(kind: FlowKind, candidate: Callable, levels: Sequence[float],
              times: Sequence[float], window, plane: Plane = Plane.MINKOWSKI,

@@ -68,6 +68,12 @@ def _mink_curve(s, x, y, theta, k) -> Curve:
     return Curve(s, x, y, theta, k, *_support_from_frame(x, y, theta))
 
 
+def _alpha(spec: InvariantCurveSpec):
+    if "alpha" not in spec.params:
+        raise InvalidParams(f"{spec.kind.value} needs the parameter 'alpha'")
+    return spec.params["alpha"]
+
+
 def make_invariant_curve(spec: InvariantCurveSpec, s_span: tuple,
                          n: int = 20001):
     """Sample an invariant curve on the parameter span ``s_span``.
@@ -98,7 +104,7 @@ def make_invariant_curve(spec: InvariantCurveSpec, s_span: tuple,
         return _mink_curve(u.copy(), x, y, u / r, np.full(n, 1.0 / r))
 
     if kind is InvariantKind.MINK_LOG_SPIRAL:
-        alpha = spec.params["alpha"]
+        alpha = _alpha(spec)
         if abs(alpha) == 1.0:
             raise DegenerateSpiral("spiral exponent alpha = +-1 is excluded")
         if s_span[0] <= 0.0:
@@ -129,7 +135,7 @@ def make_invariant_curve(spec: InvariantCurveSpec, s_span: tuple,
                               np.full(n, 1.0 / r))
 
     if kind is InvariantKind.LOG_SPIRAL:
-        alpha = spec.params["alpha"]
+        alpha = _alpha(spec)
         if s_span[0] <= 0.0:
             raise InvalidParams("spiral parameter span must lie in (0, inf)")
         # X = s^{1+i alpha} / (1 + i alpha); X'(s) = e^{i alpha log s},

@@ -203,62 +203,53 @@ class Trajectory:
         return (float(self.s[0]), float(self.s[-1]))
 
 
-def _phase_rhs(p: SolitonParams, chart: Chart):
+def _phase_coefficients(p: SolitonParams, chart: Chart) -> tuple:
+    """(c0, c1, w0, w1) of the phase system in ``chart``.
+
+    Both charts read u0' = c0 + k u1, u1' = c1 + k u0, theta' = k with
+    the curvature k = w0 u0 + w1 u1: (tau, nu) has (1, 0, a, -b) and
+    (k, l) has (a, -b, 1, 0).
+    """
     a, b = p.a, p.b
-    if chart is Chart.TAU_NU:
-        def rhs(s, u):
-            tau, nu, _ = u
-            k = a * tau - b * nu
-            return (1.0 + nu * k, tau * k, k)
+    return (1.0, 0.0, a, -b) if chart is Chart.TAU_NU else (a, -b, 1.0, 0.0)
 
-        def jac(s, u):
-            tau, nu, _ = u
-            k = a * tau - b * nu
-            return [[a * nu, k - b * nu, 0.0],
-                    [k + a * tau, -b * tau, 0.0],
-                    [a, -b, 0.0]]
-    else:
-        def rhs(s, u):
-            k, l, _ = u
-            return (a + k * l, -b + k * k, k)
 
-        def jac(s, u):
-            k, l, _ = u
-            return [[l, k, 0.0], [2.0 * k, 0.0, 0.0], [1.0, 0.0, 0.0]]
+def _phase_rhs(p: SolitonParams, chart: Chart):
+    c0, c1, w0, w1 = _phase_coefficients(p, chart)
+
+    def rhs(s, u):
+        u0, u1, _ = u
+        k = w0 * u0 + w1 * u1
+        return (c0 + k * u1, c1 + k * u0, k)
+
+    def jac(s, u):
+        u0, u1, _ = u
+        k = w0 * u0 + w1 * u1
+        return [[w0 * u1, k + w1 * u1, 0.0],
+                [k + w0 * u0, w1 * u0, 0.0],
+                [w0, w1, 0.0]]
     return rhs, jac
 
 
+def _terminal(event):
+    """``event``, made terminal on an upward zero crossing."""
+    event.terminal, event.direction = True, 1
+    return event
+
+
+def _leaving(radius: float):
+    """Terminal event: the state leaves the square max |u_i| < radius."""
+    return _terminal(lambda s, u: max(abs(u[0]), abs(u[1])) - radius)
+
+
 def _phase_events(p: SolitonParams, chart: Chart, threshold: float):
-    a, b = p.a, p.b
-
-    def blowup(s, u):
-        return max(abs(u[0]), abs(u[1])) - threshold
-    blowup.terminal = True
-    blowup.direction = 1
-
-    # Crossing the xi-axis means eta = 0, i.e. tau = -nu (k = -l scaled);
-    # the eta-axis is xi = 0, i.e. tau = nu (k = l scaled).
-    def xi_axis(s, u):
-        return u[0] + u[1]
-
-    def eta_axis(s, u):
-        return u[0] - u[1]
-
-    if chart is Chart.TAU_NU:
-        def inflection(s, u):
-            return a * u[0] - b * u[1]
-    else:
-        def inflection(s, u):
-            return u[0]
-
-    return [blowup, xi_axis, eta_axis, inflection]
-
-
-def _switch(s, u):
-    """Terminal event: the state leaves the disc |u| < SWITCH_RADIUS."""
-    return max(abs(u[0]), abs(u[1])) - SWITCH_RADIUS
-_switch.terminal = True
-_switch.direction = 1
+    """The blow-up past ``threshold``, then crossings of the xi-axis
+    (eta = 0: u0 + u1 = 0), of the eta-axis (xi = 0: u0 - u1 = 0) and
+    inflections (k = 0).  The axis tests hold in both charts, since
+    k +- l = (a -+ b)(tau +- nu)."""
+    *_, w0, w1 = _phase_coefficients(p, chart)
+    return [_leaving(threshold), lambda s, u: u[0] + u[1],
+            lambda s, u: u[0] - u[1], lambda s, u: w0 * u[0] + w1 * u[1]]
 
 
 def _diagonal_field(p: SolitonParams, chart: Chart):
@@ -268,13 +259,12 @@ def _diagonal_field(p: SolitonParams, chart: Chart):
     In both charts P' = cP + k P and Q' = cQ - k Q, with k linear in
     (P, Q).  Near a blow-up one component grows like 1/(s_pole - s) and
     the other shrinks like 1/|k|; written this way each keeps its own
-    relative precision, which u0 and u1, both of size |k|, cannot.
+    relative precision, which u0 and u1, both of size |k|, cannot.  The
+    coefficients follow from ``_phase_coefficients``: cP, cQ = c0 +- c1
+    and k = kP P + kQ Q with kP, kQ = (w0 +- w1) / 2.
     """
-    a, b = p.a, p.b
-    if chart is Chart.TAU_NU:
-        cP, cQ, kP, kQ = 1.0, 1.0, 0.5 * (a - b), 0.5 * (a + b)
-    else:
-        cP, cQ, kP, kQ = a - b, a + b, 0.5, 0.5
+    c0, c1, w0, w1 = _phase_coefficients(p, chart)
+    cP, cQ, kP, kQ = c0 + c1, c0 - c1, 0.5 * (w0 + w1), 0.5 * (w0 - w1)
 
     def field(P, Q):
         k = kP * P + kQ * Q
@@ -300,16 +290,12 @@ def _tail_chart(field, sign: float):
 
 def _tail_events(field, threshold: float, span: float):
     """``_phase_events`` on the tail state V, each read off the diagonal
-    components directly, and a terminal stop at s = span."""
-    def blowup(r, V):
-        return 0.5 * (abs(V[0]) + abs(V[1])) - threshold   # max |u_i|
-    blowup.terminal, blowup.direction = True, 1
-
-    def stop(r, V):
-        return V[3] - span
-    stop.terminal, stop.direction = True, 1
-    return [blowup, lambda r, V: V[0], lambda r, V: V[1],
-            lambda r, V: field(V[0], V[1])[2], stop]
+    components directly (max |u_i| is (|P| + |Q|) / 2), and a terminal
+    stop at s = span."""
+    return [_terminal(lambda r, V: 0.5 * (abs(V[0]) + abs(V[1])) - threshold),
+            lambda r, V: V[0], lambda r, V: V[1],
+            lambda r, V: field(V[0], V[1])[2],
+            _terminal(lambda r, V: V[3] - span)]
 
 
 def _at_s(tail, field, s):
@@ -382,9 +368,9 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     the chart.  Integration runs until |state| exceeds the blow-up
     threshold (a recorded event, not an error) or |s| = s_max, which may
     be a scalar or a (backward, forward) pair.  Diagonal crossings and
-    curvature sign changes are recorded as events.  Trajectories hugging
-    a strongly attracting slow manifold are stiff; pass method="Radau"
-    for those.
+    curvature sign changes are recorded as events.  ``method`` is
+    "DOP853" or "Radau"; trajectories hugging a strongly attracting slow
+    manifold are stiff and need "Radau".
 
     A side whose state climbs through |state| = SWITCH_RADIUS continues
     from there, with the same method and rtol and the same events, in
@@ -404,8 +390,14 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
         raise InvalidParams("phase-plane form requires C = 0")
     if chart is Chart.KL and p.a * p.a == p.b * p.b:
         raise InvalidParams("(k,l) chart is singular when a^2 = b^2")
+    if len(init) not in (2, 3):
+        raise InvalidParams(f"initial state must hold 2 or 3 numbers, got "
+                            f"{len(init)}: {tuple(init)}")
     if not all(map(math.isfinite, init)):
         raise InvalidParams(f"initial state must be finite, got {tuple(init)}")
+    if method not in ("DOP853", "Radau"):
+        raise InvalidParams(
+            f"method must be DOP853 or Radau, not {method!r}")
     theta0 = float(init[2]) if len(init) > 2 else 0.0
     u0 = (float(init[0]), float(init[1]), theta0)
     s_back, s_fwd = (s_max if isinstance(s_max, (tuple, list))
@@ -425,7 +417,7 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     rhs, jac = _phase_rhs(p, chart)
     events = _phase_events(p, chart, blowup_threshold)
     field = _diagonal_field(p, chart)
-    if method not in ("Radau", "BDF", "LSODA"):
+    if method != "Radau":
         jac = None
 
     def solve(f, j, span, state, evs, tol):
@@ -436,8 +428,8 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     def side(f, j, span):
         """Samples, events and end of one side, out to |s| = span."""
         # An empty side reports no events, not the ones sitting at s = 0.
-        sol = None if span == 0.0 else solve(f, j, span, u0,
-                                             events + [_switch], atol)
+        sol = None if span == 0.0 else solve(
+            f, j, span, u0, events + [_leaving(SWITCH_RADIUS)], atol)
         switched = sol is not None and sol.t_events[4].size > 0
         tail = None
         if switched and not sol.t_events[0].size:
@@ -546,9 +538,22 @@ def reconstruct(traj: Trajectory) -> Curve:
 # graph and diagonal-basis ODE forms
 
 
+def _dense_side(u0, events, n: int, atol=ATOL):
+    """A ``solve_side`` for ``_both_ways``: DOP853 with dense output from
+    u0 over [0, span], sampled at n evenly spaced nodes up to where it
+    stopped; the solution comes back as the side's info."""
+    from scipy.integrate import solve_ivp
+
+    def side(f, _, span):
+        sol = solve_ivp(f, (0.0, span), u0, method="DOP853", events=events,
+                        rtol=RTOL, atol=atol, dense_output=True)
+        xs = np.linspace(0.0, float(sol.t[-1]), n)
+        return xs, sol.sol(xs), sol
+    return side
+
+
 def integrate_graph(p: SolitonParams, y0: float, yp0: float,
-                    x_max: float, n: int = 2001,
-                    rtol: float = RTOL, atol: float = ATOL) -> Curve:
+                    x_max: float, n: int = 2001) -> Curve:
     """Solve the graph form of the soliton equation on [-x_max, x_max].
 
     y'' = (1 - y'^2) (a (x - y y') - b (x y' - y) - (c1 y' - c2)) with
@@ -557,7 +562,6 @@ def integrate_graph(p: SolitonParams, y0: float, yp0: float,
     1 - SLOPE_TOL the integration stops and the approach is logged as a
     light-like asymptote event.
     """
-    from scipy.integrate import solve_ivp
     if abs(yp0) >= 1.0:
         raise InvalidParams("initial slope must satisfy |y'| < 1")
     a, b, c1, c2 = p.a, p.b, p.C.x, p.C.y
@@ -574,14 +578,9 @@ def integrate_graph(p: SolitonParams, y0: float, yp0: float,
         return abs(u[1]) - (1.0 - SLOPE_TOL)
     light.terminal = True
 
-    def side(f, _, span):
-        sol = solve_ivp(f, (0.0, span), (y0, yp0, 0.0), method="DOP853",
-                        events=light, rtol=rtol, atol=atol, dense_output=True)
-        xs = np.linspace(0.0, float(sol.t[-1]), n)
-        return xs, sol.sol(xs), sol
-
     # The backward co-integrated arc length is already negative.
-    x, (y, v, s), fwd, bwd = _both_ways(side, rhs, (x_max, x_max))
+    x, (y, v, s), fwd, bwd = _both_ways(
+        _dense_side((y0, yp0, 0.0), [light], n), rhs, (x_max, x_max))
     events = []
     for sign, sol in ((1.0, fwd), (-1.0, bwd)):
         if len(sol.t_events[0]):
@@ -597,16 +596,13 @@ def integrate_graph(p: SolitonParams, y0: float, yp0: float,
 
 
 def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
-                        eta_span: tuple[float, float], n: int = 2001,
-                        rtol: float = RTOL, atol: float = ATOL,
-                        blowup_threshold: float = BLOWUP_THRESHOLD) -> Curve:
+                        eta_span: tuple[float, float], n: int = 2001) -> Curve:
     """Solve the diagonal-basis form on eta_span (which must contain 0).
 
     xi'' = xi' ((a+b) xi + (a-b) eta xi' + d1 - d2 xi') with C = (d1, d2)
     in the diagonal view.  xi' > 0 is maintained; blow-up at finite eta
     is recorded as an event.
     """
-    from scipy.integrate import solve_ivp
     if xip0 <= 0.0:
         raise InvalidParams("initial xi' must be positive (space-like)")
     lo, hi = eta_span
@@ -619,6 +615,7 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
     # (with relative error control) keeps the invariant representable
     # where reconstructing it from (xi, xi') would cancel to noise.
     screw_trans = (a == 1.0 and b == 1.0 and d1 == 0.0 and d2 == 1.0)
+    atol = ATOL
     if screw_trans:
         def rhs(eta, u):
             xi, delta, _ = u
@@ -627,7 +624,7 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
 
         def slope(u):
             return 2.0 * (u[0] - 1.0 + u[1])
-        atol = np.array([atol, min(atol, 1e-290), atol])
+        atol = np.array([ATOL, 1e-290, ATOL])
     else:
         def xipp(eta, xi, w):
             return w * ((a + b) * xi + (a - b) * eta * w + d1 - d2 * w)
@@ -644,20 +641,14 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
     degenerate.terminal = True
 
     def blowup(eta, u):
-        return max(abs(u[0]), abs(slope(u))) - blowup_threshold
+        return max(abs(u[0]), abs(slope(u))) - BLOWUP_THRESHOLD
     blowup.terminal = True
 
     u0 = ((xi0, 0.5 * xip0 - xi0 + 1.0, 0.0) if screw_trans
           else (xi0, xip0, 0.0))
 
-    def side(f, _, span):
-        sol = solve_ivp(f, (0.0, span), u0, method="DOP853",
-                        events=[degenerate, blowup], rtol=rtol, atol=atol,
-                        dense_output=True)
-        etas = np.linspace(0.0, float(sol.t[-1]), n)
-        return etas, sol.sol(etas), sol
-
-    eta, (xi, aux, s), fwd, bwd = _both_ways(side, rhs, (-lo, hi))
+    eta, (xi, aux, s), fwd, bwd = _both_ways(
+        _dense_side(u0, [degenerate, blowup], n, atol), rhs, (-lo, hi))
     events = []
     for sign, sol in ((1.0, fwd), (-1.0, bwd)):
         for i, name in ((1, "blowup"), (0, "degenerate_slope")):
@@ -794,12 +785,6 @@ class EndReport:
     curvature_value: float | None
     minkowski_finite: bool
 
-    def to_json_dict(self):
-        return {"s": self.s, "kind": self.kind,
-                "curvature_limit": self.curvature_limit,
-                "curvature_value": self.curvature_value,
-                "minkowski_finite": self.minkowski_finite}
-
 
 @dataclass
 class TrajectoryReport:
@@ -814,21 +799,6 @@ class TrajectoryReport:
     length: float | None
     cone_slopes: tuple | None
     conserved: dict | None
-
-    def to_json_dict(self):
-        return {
-            "s_span": list(self.s_span),
-            "ends": {k: v.to_json_dict() for k, v in self.ends.items()},
-            "crossings": self.crossings,
-            "crosses_xi": self.crosses_xi,
-            "crosses_eta": self.crosses_eta,
-            "inflections": self.inflections,
-            "has_inflection": self.has_inflection,
-            "length_finite": self.length_finite,
-            "length": self.length,
-            "cone_slopes": list(self.cone_slopes) if self.cone_slopes else None,
-            "conserved": self.conserved,
-        }
 
 
 def _limit_of_tail(kvals: np.ndarray, side: str) -> tuple[str, float | None]:
@@ -871,8 +841,8 @@ def classify(p: SolitonParams, traj: Trajectory) -> TrajectoryReport:
             ends[side] = EndReport(float(s_end), "blowup", "infinite",
                                    None, True)
         elif info["kind"] == "fixed_point":
-            kfp = kl_from_taunu(p, *info["fixed_point"])[0] \
-                if traj.chart is Chart.TAU_NU else info["fixed_point"][0]
+            *_, w0, w1 = _phase_coefficients(p, traj.chart)
+            kfp = w0 * info["fixed_point"][0] + w1 * info["fixed_point"][1]
             ends[side] = EndReport(float(s_end), "fixed_point", "finite",
                                    float(kfp), False)
         else:

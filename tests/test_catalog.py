@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_verify_all_passes():
     results = catalog.verify_all()
     assert len(results) == 16
     for r in results:
-        assert r["passed"], (r["name"], r["report"].to_json_dict())
+        assert r["passed"], (r["name"], dataclasses.asdict(r["report"]))
         assert r["report"].observed_order == pytest.approx(2.0, abs=0.3)
 
 

@@ -106,7 +106,17 @@ class TestSelfsimCommand:
 
     @pytest.mark.parametrize("extra, words", [
         (["--s-max", "-3"], "non-negative"),
-        (["--init", "0,inf"], "initial state must be finite")])
+        (["--init", "0,inf"], "initial state must be finite"),
+        (["--init", "1"],
+         "InvalidParams: --init takes 2 or 3 comma-separated numbers, not 1"),
+        (["--init", "1,2,3,4"],
+         "InvalidParams: --init takes 2 or 3 comma-separated numbers, not 4"),
+        (["--init", "x,1"],
+         "InvalidParams: --init takes comma-separated numbers, not 'x,1'"),
+        (["--C", "1,2,3"],
+         "InvalidParams: --C takes 2 comma-separated numbers, not 3"),
+        (["--C", "0,"],
+         "InvalidParams: --C takes comma-separated numbers, not '0,'")])
     def test_bad_span_or_state_refused(self, tmp_path, capsys, extra, words):
         out = tmp_path / "run"
         code = run(["selfsim", "--a", "0", "--b", "1", "--init", "0,-0.5",
@@ -338,6 +348,17 @@ class TestInvariantCommand:
                     "--out", str(out)]) == 0
         payload = json.loads((out / "invariance.json").read_text())
         assert payload["passed"] and payload["deviation"] < 1e-8
+
+
+    @pytest.mark.parametrize("params, words", [
+        ("{}", "mink-log-spiral needs the parameter 'alpha'"),
+        ("[1]", "--params must be a JSON object, not '[1]'"),
+        ("0.5", "--params must be a JSON object")])
+    def test_bad_params_refused(self, capsys, params, words):
+        code = run(["invariant", "check", "--kind", "mink-log-spiral",
+                    "--params", params, "--span", "0.05", "12"])
+        assert code == 2
+        assert f"InvalidParams: {words}" in capsys.readouterr().err
 
 
 def test_plot_command(tmp_path, capsys):

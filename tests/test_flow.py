@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -262,7 +263,7 @@ class TestResidual:
     def test_report_json_shape(self):
         rep = residual(FlowKind.GRAPH_Y, lambda p, t: t + np.log(np.cosh(p)),
                        (0.02, 0.01), (0.0,), (-1, 1))
-        d = rep.to_json_dict()
+        d = dataclasses.asdict(rep)
         assert set(d) == {"kind", "plane", "times", "levels",
                           "observed_order"}
         assert set(d["levels"][0]) == {"h", "max_abs", "rms"}

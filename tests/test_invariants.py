@@ -52,6 +52,13 @@ class TestMakeInvariantCurve:
                 InvariantCurveSpec(InvariantKind.MINK_LOG_SPIRAL,
                                    {"alpha": 0.5}), (-1.0, 1.0))
 
+    @pytest.mark.parametrize("kind", [InvariantKind.MINK_LOG_SPIRAL,
+                                      InvariantKind.LOG_SPIRAL])
+    def test_spiral_without_alpha_refused(self, kind):
+        with pytest.raises(InvalidParams, match="'alpha'"):
+            make_invariant_curve(InvariantCurveSpec(kind, {"beta": 0.5}),
+                                 (0.1, 1.0))
+
     def test_exp_diagonal_satisfies_ode(self):
         c = make_invariant_curve(
             InvariantCurveSpec(InvariantKind.EXP_DIAGONAL), (-3.0, 1.5),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -123,11 +124,18 @@ class TestIntegratePhase:
     @pytest.mark.parametrize("init, s_max", [
         ((0.0, math.inf), 8.0), ((math.nan, -0.5), 8.0),
         ((0.0, -0.5, math.nan), 8.0), ((0.0, -0.5), -3.0),
-        ((0.0, -0.5), (2.0, -1.0))])
+        ((0.0, -0.5), (2.0, -1.0)), ((1.0,), 8.0),
+        ((0.0, -0.5, 0.0, 1.0), 8.0)])
     def test_bad_input_refused(self, init, s_max):
         with pytest.raises(InvalidParams):
             ss.integrate_phase(SolitonParams(0.0, 1.0), Chart.TAU_NU, init,
                                s_max=s_max)
+
+    @pytest.mark.parametrize("method", ["LSODA", "BDF", "RK45", "radau"])
+    def test_method_refused(self, method):
+        with pytest.raises(InvalidParams, match=repr(method)):
+            ss.integrate_phase(SolitonParams(0.0, 1.0), Chart.TAU_NU,
+                               (0.0, -0.5), method=method)
 
     def test_kl_chart_rejected_for_degenerate(self):
         with pytest.raises(InvalidParams):
@@ -185,6 +193,37 @@ BLOWUP_RUNS = {
         (SolitonParams(0.0, -1.0), Chart.TAU_NU, (0.0, 1.0), 20.0, {}),
         1.2586883293483402),
 }
+
+
+class TestPhaseSystem:
+    """Every chart-level function is derived from ``_phase_coefficients``;
+    the table is checked against the Jacobian and the diagonal field."""
+
+    @pytest.mark.parametrize("chart", list(Chart))
+    def test_jacobian_matches_differences(self, chart):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            a, b = rng.uniform(-2.0, 2.0, 2)
+            rhs, jac = ss._phase_rhs(SolitonParams(a, b), chart)
+            u = rng.uniform(-3.0, 3.0, 3)
+            f = np.array(rhs(0.0, u))
+            h = 1e-7
+            diff = np.column_stack([
+                (np.array(rhs(0.0, u + h * e)) - f) / h for e in np.eye(3)])
+            assert np.allclose(jac(0.0, u), diff, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("chart", list(Chart))
+    def test_diagonal_field_matches_rhs(self, chart):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a, b = rng.uniform(-2.0, 2.0, 2)
+            p = SolitonParams(a, b)
+            rhs, _ = ss._phase_rhs(p, chart)
+            P, Q = rng.uniform(-3.0, 3.0, 2)
+            f0, f1, f2 = rhs(0.0, (0.5 * (P + Q), 0.5 * (P - Q), 0.0))
+            assert np.allclose(ss._diagonal_field(p, chart)(P, Q),
+                               (f0 + f1, f0 - f1, f2), rtol=1e-13,
+                               atol=1e-13)
 
 
 class TestArclengthTail:
@@ -515,7 +554,7 @@ class TestClassify:
             assert end.curvature_limit == "infinite"
             assert end.minkowski_finite
         assert rep.cone_slopes == pytest.approx((-1.0, 1.0), abs=1e-6)
-        d = rep.to_json_dict()
+        d = dataclasses.asdict(rep)
         assert d["crosses_xi"] is True
 
     def test_expansion_branch_report(self):
