@@ -168,6 +168,7 @@ def cmd_evolve(args) -> int:
            "t1": args.t1, "dx": args.dx, "window": list(args.window),
            "snapshots": args.snapshots, "kind": args.kind,
            "boundary": args.boundary}
+    _count("--snapshots", args.snapshots)
     grid, bc = _initial_grid(args)
     if args.boundary == "frozen":
         bc = None
@@ -182,7 +183,6 @@ def cmd_evolve(args) -> int:
         if args.snapshots > 1 else None
     snaps = flow.evolve(grid, args.t1, snapshot_every=every, boundary=bc,
                         max_dt=args.dt)
-    os.makedirs(args.out, exist_ok=True)
     curves = []
     for i, g in enumerate(snaps):
         rows = [f"# t={g.t:.17g}", "node,value"]
@@ -201,19 +201,24 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _numbers(flag: str, text: str, counts: tuple) -> tuple:
-    """The comma-separated numbers given to ``flag``; there must be one
-    of ``counts`` of them."""
+def _numbers(flag: str, text: str, counts: tuple | None = None) -> tuple:
+    """The comma-separated numbers given to ``flag``; if ``counts`` is
+    given, there must be one of ``counts`` of them."""
     try:
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise InvalidParams(f"{flag} takes comma-separated numbers, "
                             f"not {text!r}") from None
-    if len(values) not in counts:
+    if counts and len(values) not in counts:
         raise InvalidParams(
             f"{flag} takes {' or '.join(map(str, counts))} comma-separated "
             f"numbers, not {len(values)} ({text!r})")
     return values
+
+
+def _count(flag: str, n: int):
+    if n < 1:
+        raise InvalidParams(f"{flag} must be a positive count, not {n}")
 
 
 def _soliton_params(args) -> SolitonParams:
@@ -238,7 +243,6 @@ def cmd_selfsim(args) -> int:
     p, traj = _run_trajectory(args)
     curve = selfsim.reconstruct(traj)  # may refuse: write nothing before
     report = selfsim.classify(p, traj)
-    os.makedirs(args.out, exist_ok=True)
     rows = ["s,tau,nu,theta,k,l"]
     rows += [",".join(f"{v:.17g}" for v in vals) for vals in
              zip(traj.s, traj.tau, traj.nu, traj.theta, traj.k, traj.l)]
@@ -258,7 +262,6 @@ def cmd_classify(args) -> int:
     report = selfsim.classify(p, traj)
     text = _json_dumps(dataclasses.asdict(report))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _atomic_write(os.path.join(args.out, "classification.json"), text)
     sys.stdout.write(text)
     return EXIT_OK
@@ -276,7 +279,6 @@ def cmd_verify(args) -> int:
                 "report": dataclasses.asdict(r["report"])} for r in results]
     text = _json_dumps(payload)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _atomic_write(os.path.join(args.out, "verify.json"), text)
     for r in payload:
         order = r["report"]["observed_order"]
@@ -307,6 +309,7 @@ def cmd_catalog(args) -> int:
         args.all, args.names = True, None
         return cmd_verify(args)
     if args.action == "lengths":
+        _count("--points", args.points)
         labels = (list(catalog.LENGTH_SERIES) if args.all or not args.name
                   else [lb for lb, (nm, _) in catalog.LENGTH_SERIES.items()
                         if nm == args.name])
@@ -321,7 +324,6 @@ def cmd_catalog(args) -> int:
             rows += [f"{lb},{name},{t:.17g},{val:.17g}" for t, val in series]
         text = "\n".join(rows) + "\n"
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
             _atomic_write(os.path.join(args.out, "lengths.csv"), text)
             print(f"wrote {os.path.join(args.out, 'lengths.csv')}")
         else:
@@ -330,60 +332,30 @@ def cmd_catalog(args) -> int:
     raise InvalidParams(f"unknown catalog action {args.action}")
 
 
-_INVARIANT_MOTIONS = {
-    "line": lambda: selfsim.MotionLaw(
-        lambda t: 0.0, lambda t: 1.0 + t,
-        lambda t: HyperbolicNumber(0.0, 0.0), (-1.0, math.inf)),
-    "hyperbola": lambda: selfsim.MotionLaw(
-        lambda t: t, lambda t: 1.0,
-        lambda t: HyperbolicNumber(0.0, 0.0), (-math.inf, math.inf)),
-    "mink-log-spiral": None,  # built per alpha below
-    "exp-diagonal": lambda: selfsim.MotionLaw(
-        lambda t: t, lambda t: math.exp(t),
-        lambda t: HyperbolicNumber.from_diagonal(0.0, t),
-        (-math.inf, math.inf)),
-}
-
-
-def _invariant_setup(args):
-    kind = invariants.InvariantKind(args.kind)
+def cmd_invariant(args) -> int:
+    _count("--n", args.n)
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise InvalidParams(
             f"--params must be a JSON object, not {args.params!r}")
-    spec = invariants.InvariantCurveSpec(kind, params)
-    span = tuple(args.span)
-    curve = invariants.make_invariant_curve(spec, span, n=args.n)
-    if kind is invariants.InvariantKind.MINK_LOG_SPIRAL:
-        alpha = params["alpha"]
-        motion = selfsim.MotionLaw(
-            lambda t: alpha * math.log(1.0 + t), lambda t: 1.0 + t,
-            lambda t: HyperbolicNumber(0.0, 0.0), (-1.0, math.inf))
-    else:
-        maker = _INVARIANT_MOTIONS.get(kind.value)
-        motion = maker() if maker else None
-    return curve, motion
-
-
-def cmd_invariant(args) -> int:
-    curve, motion = _invariant_setup(args)
+    spec = invariants.InvariantCurveSpec(invariants.InvariantKind(args.kind),
+                                         params)
+    curve = invariants.make_invariant_curve(spec, tuple(args.span), n=args.n)
     if args.action == "make":
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"invariant-{args.kind}.csv")
         geometry.write_curve_csv(curve, path)
         print(f"wrote {path}")
         return EXIT_OK
-    if motion is None:
-        raise InvalidParams(f"no canonical motion for kind {args.kind}")
-    t_probe = [float(v) for v in args.t_probe.split(",")]
-    dev = invariants.check_invariance(curve, motion, t_probe,
+    t_probe = _numbers("--t-probe", args.t_probe)
+    dev = invariants.check_invariance(curve, invariants.invariant_motion(spec),
+                                      t_probe,
                                       probe_fraction=tuple(args.probe_fraction))
     tol = args.tol if args.tol is not None else 1e-8
     payload = {"kind": args.kind, "t_probe": t_probe, "deviation": dev,
                "tolerance": tol, "passed": bool(dev <= tol)}
     text = _json_dumps(payload)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _atomic_write(os.path.join(args.out, "invariance.json"), text)
     sys.stdout.write(text)
     return EXIT_OK if payload["passed"] else EXIT_NUMERICAL

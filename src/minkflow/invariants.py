@@ -5,32 +5,33 @@ light-like asymptotes, the power-law spirals
 
     X = (s^{1+alpha}/(1+alpha), s^{1-alpha}/(1-alpha))   (diagonal view)
 
-and the exponential diagonal graph xi = e^{2 eta}.  The Euclidean
-analogues (lines, circles, logarithmic spirals) are provided for the
-support-function identities.  check_invariance maps a sampled curve by a
-motion and measures the worst Euclidean distance back to the original
-point set; Euclidean distance is used deliberately, since the indefinite
-metric vanishes along light-like displacements and would mask drift.
+and the exponential diagonal graph xi = e^{2 eta}.  Each kind is defined
+once, in one table: its curve, its parameters and the motion that fixes
+it.  check_invariance maps a sampled curve by a motion and measures the
+worst Euclidean distance back to the original point set; Euclidean
+distance is used deliberately, since the indefinite metric vanishes along
+light-like displacements and would mask drift.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateSpiral, InvalidParams
 from .geometry import Curve, _rebase, _support_from_frame
+from .hyperbolic import HyperbolicNumber
 from .selfsim import MotionLaw
 
 
 class InvariantKind(enum.Enum):
     LINE = "line"
-    CIRCLE = "circle"                    # Euclidean
-    HYPERBOLA = "hyperbola"              # Minkowski, light-like asymptotes
-    LOG_SPIRAL = "log-spiral"            # Euclidean
+    HYPERBOLA = "hyperbola"              # light-like asymptotes
     MINK_LOG_SPIRAL = "mink-log-spiral"
     EXP_DIAGONAL = "exp-diagonal"        # xi = e^{2 eta}
 
@@ -42,110 +43,131 @@ class InvariantCurveSpec:
     center: tuple = (0.0, 0.0)
 
 
-@dataclass
-class EuclideanCurve:
-    """Plane curve with Euclidean frame data (T, N = i T)."""
-
-    s: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    phi: np.ndarray   # Euclidean tangent angle
-    k: np.ndarray
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.column_stack([self.x, self.y])
-
-    def support_functions(self) -> np.ndarray:
-        """(tau, nu) with tau = <X,T>, nu = <X,N>, N the left normal."""
-        c, s = np.cos(self.phi), np.sin(self.phi)
-        tau = self.x * c + self.y * s
-        nu = -self.x * s + self.y * c
-        return np.column_stack([tau, nu])
+def _line(u, direction):
+    dx, dy = direction
+    norm2 = (dx - dy) * (dx + dy)
+    if norm2 <= 0:
+        raise InvalidParams("line direction must be space-like")
+    norm = math.sqrt(norm2)
+    theta = math.atanh(dy / dx)  # dx != 0, since dx^2 > dy^2
+    return (u, u * dx / norm, u * dy / norm, np.full(len(u), theta),
+            np.zeros(len(u)))
 
 
-def _mink_curve(s, x, y, theta, k) -> Curve:
-    return Curve(s, x, y, theta, k, *_support_from_frame(x, y, theta))
+def _hyperbola(u, radius):
+    r = radius
+    return (u, r * np.sinh(u / r), r * np.cosh(u / r), u / r,
+            np.full(len(u), 1.0 / r))
 
 
-def _alpha(spec: InvariantCurveSpec):
-    if "alpha" not in spec.params:
-        raise InvalidParams(f"{spec.kind.value} needs the parameter 'alpha'")
-    return spec.params["alpha"]
+def _spiral(u, alpha):
+    if abs(alpha) == 1.0:
+        raise DegenerateSpiral("spiral exponent alpha = +-1 is excluded")
+    if np.any(u <= 0.0):
+        raise InvalidParams("spiral parameter span must lie in (0, inf)")
+    xi = u ** (1.0 + alpha) / (1.0 + alpha)
+    eta = u ** (1.0 - alpha) / (1.0 - alpha)
+    return u, (xi + eta) / 2.0, (xi - eta) / 2.0, alpha * np.log(u), alpha / u
+
+
+def _exp_diagonal(u):
+    eta = u
+    xi = np.exp(2.0 * eta)
+    # xi' = 2 e^{2 eta}: theta = log(xi')/2, k = xi''/(2 xi'^{3/2}).
+    theta = 0.5 * np.log(2.0 * xi)
+    k = np.exp(-eta) / math.sqrt(2.0)
+    s = math.sqrt(2.0) * np.exp(eta)
+    return _rebase(s, eta), (xi + eta) / 2.0, (xi - eta) / 2.0, theta, k
+
+
+def _at_origin(t):
+    return HyperbolicNumber(0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One invariant-curve kind: its curve, its parameters and its motion."""
+
+    build: Callable     # (u, **params) -> (s, x, y, theta, k) at u,
+                        # centred at the origin
+    params: dict        # parameter -> default; None marks a required one
+    motion: Callable    # (**params) -> the MotionLaw fixing the curve
+
+
+_KINDS = {
+    InvariantKind.LINE: _Kind(
+        _line, {"direction": (1.0, 0.0)},
+        lambda **_: MotionLaw(lambda t: 0.0, lambda t: 1.0 + t, _at_origin,
+                              (-1.0, math.inf))),
+    InvariantKind.HYPERBOLA: _Kind(
+        _hyperbola, {"radius": 1.0},
+        lambda **_: MotionLaw(lambda t: t, lambda t: 1.0, _at_origin,
+                              (-math.inf, math.inf))),
+    InvariantKind.MINK_LOG_SPIRAL: _Kind(
+        _spiral, {"alpha": None},
+        lambda alpha: MotionLaw(lambda t: alpha * math.log(1.0 + t),
+                                lambda t: 1.0 + t, _at_origin,
+                                (-1.0, math.inf))),
+    InvariantKind.EXP_DIAGONAL: _Kind(
+        _exp_diagonal, {},
+        lambda: MotionLaw(lambda t: t, lambda t: math.exp(t),
+                          lambda t: HyperbolicNumber.from_diagonal(0.0, t),
+                          (-math.inf, math.inf))),
+}
+
+
+def _real(v) -> bool:
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+# What a value of each parameter must be: in words, and as a test.
+_VALUES = {
+    "direction": ("two finite numbers",
+                  lambda v: isinstance(v, (list, tuple, np.ndarray))
+                  and len(v) == 2 and all(map(_real, v))),
+    "radius": ("a non-zero finite number", lambda v: _real(v) and v != 0),
+    "alpha": ("a finite number", _real),
+}
+
+
+def _params(spec: InvariantCurveSpec) -> dict:
+    """The spec's parameters with defaults filled in; InvalidParams names
+    an unknown, missing or unsuitable one."""
+    name, known = spec.kind.value, _KINDS[spec.kind].params
+    for key in spec.params:
+        if key not in known:
+            raise InvalidParams(f"{name} takes no parameter {key!r}; it "
+                                f"takes {sorted(known) or 'none'}")
+    params = {**known, **spec.params}
+    for key, value in params.items():
+        if value is None:
+            raise InvalidParams(f"{name} needs the parameter {key!r}")
+        words, ok = _VALUES[key]
+        if not ok(value):
+            raise InvalidParams(f"{name} parameter {key!r} must be {words}, "
+                                f"not {value!r}")
+    return params
 
 
 def make_invariant_curve(spec: InvariantCurveSpec, s_span: tuple,
-                         n: int = 20001):
+                         n: int = 20001) -> Curve:
     """Sample an invariant curve on the parameter span ``s_span``.
 
     Spirals require s_span inside (0, inf) and |alpha| != 1.  The
-    exponential diagonal is parametrized by eta.  Euclidean kinds return
-    a EuclideanCurve.
+    exponential diagonal is parametrized by eta.
     """
-    kind = spec.kind
-    cx, cy = spec.center
+    params = _params(spec)
     u = np.linspace(s_span[0], s_span[1], n)
+    s, x, y, theta, k = _KINDS[spec.kind].build(u, **params)
+    x, y = spec.center[0] + x, spec.center[1] + y
+    return Curve(s, x, y, theta, k, *_support_from_frame(x, y, theta))
 
-    if kind is InvariantKind.LINE:
-        dx, dy = spec.params.get("direction", (1.0, 0.0))
-        norm2 = (dx - dy) * (dx + dy)
-        if norm2 <= 0:
-            raise InvalidParams("line direction must be space-like")
-        norm = math.sqrt(norm2)
-        theta = math.atanh(dy / dx) if dx else 0.0
-        x = cx + u * dx / norm
-        y = cy + u * dy / norm
-        return _mink_curve(u.copy(), x, y, np.full(n, theta), np.zeros(n))
 
-    if kind is InvariantKind.HYPERBOLA:
-        r = spec.params.get("radius", 1.0)
-        x = cx + r * np.sinh(u / r)
-        y = cy + r * np.cosh(u / r)
-        return _mink_curve(u.copy(), x, y, u / r, np.full(n, 1.0 / r))
-
-    if kind is InvariantKind.MINK_LOG_SPIRAL:
-        alpha = _alpha(spec)
-        if abs(alpha) == 1.0:
-            raise DegenerateSpiral("spiral exponent alpha = +-1 is excluded")
-        if s_span[0] <= 0.0:
-            raise InvalidParams("spiral parameter span must lie in (0, inf)")
-        xi = u ** (1.0 + alpha) / (1.0 + alpha)
-        eta = u ** (1.0 - alpha) / (1.0 - alpha)
-        x = cx + (xi + eta) / 2.0
-        y = cy + (xi - eta) / 2.0
-        theta = alpha * np.log(u)
-        return _mink_curve(u.copy(), x, y, theta, alpha / u)
-
-    if kind is InvariantKind.EXP_DIAGONAL:
-        eta = u
-        xi = np.exp(2.0 * eta)
-        x = cx + (xi + eta) / 2.0
-        y = cy + (xi - eta) / 2.0
-        # xi' = 2 e^{2 eta}: theta = log(xi')/2, k = xi''/(2 xi'^{3/2}).
-        theta = 0.5 * np.log(2.0 * xi)
-        k = np.exp(-eta) / math.sqrt(2.0)
-        s = math.sqrt(2.0) * np.exp(eta)
-        return _mink_curve(_rebase(s, eta), x, y, theta, k)
-
-    if kind is InvariantKind.CIRCLE:
-        r = spec.params.get("radius", 1.0)
-        x = cx + r * np.cos(u / r)
-        y = cy + r * np.sin(u / r)
-        return EuclideanCurve(u.copy(), x, y, u / r + math.pi / 2.0,
-                              np.full(n, 1.0 / r))
-
-    if kind is InvariantKind.LOG_SPIRAL:
-        alpha = _alpha(spec)
-        if s_span[0] <= 0.0:
-            raise InvalidParams("spiral parameter span must lie in (0, inf)")
-        # X = s^{1+i alpha} / (1 + i alpha); X'(s) = e^{i alpha log s},
-        # so the parametrization is by arc length with phi = alpha log s.
-        z = u * np.exp(1j * alpha * np.log(u)) / (1.0 + 1j * alpha)
-        phi = alpha * np.log(u)
-        return EuclideanCurve(u.copy(), cx + z.real, cy + z.imag, phi,
-                              alpha / u)
-
-    raise InvalidParams(f"unsupported invariant curve kind {kind}")
+def invariant_motion(spec: InvariantCurveSpec) -> MotionLaw:
+    """The self-similar motion that fixes the curve of ``spec`` when it is
+    centred at the origin."""
+    return _KINDS[spec.kind].motion(**_params(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +215,22 @@ def point_set_deviation(base_points: np.ndarray,
     return float(np.max(_quadratic_project(base, idx[keep], probes[keep])))
 
 
-def check_invariance(curve, motion: MotionLaw, t_probe,
+def check_invariance(curve: Curve, motion: MotionLaw, t_probe,
                      probe_fraction=(0.15, 0.85)) -> float:
     """Max deviation of the motion-mapped curve from the original.
 
     Probe points are drawn from the middle of the sample range
     (``probe_fraction``) so their images stay on the sampled span; the
     caller should sample the curve wider than the probed window.
+    InvalidParams names a probe time outside the motion's open time
+    domain.
     """
-    pts = curve.points if hasattr(curve, "points") else np.asarray(curve)
+    lo, hi = motion.t_domain
+    for t in t_probe:
+        if not lo < t < hi:
+            raise InvalidParams(f"probe time t={t:g} is outside the motion's "
+                                f"time domain ({lo:g}, {hi:g})")
+    pts = curve.points
     n = len(pts)
     lo, hi = int(probe_fraction[0] * n), int(probe_fraction[1] * n)
     sub = pts[lo:hi]

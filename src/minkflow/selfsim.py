@@ -196,7 +196,6 @@ class Trajectory:
     l: np.ndarray
     events: dict
     ends: dict
-    blowup_threshold: float = BLOWUP_THRESHOLD
 
     @property
     def s_span(self) -> tuple[float, float]:
@@ -511,8 +510,7 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     else:
         k, l, theta = states
         tau, nu = taunu_from_kl(p, k, l)
-    return Trajectory(p, chart, s, tau, nu, theta, k, l, events, ends,
-                      blowup_threshold)
+    return Trajectory(p, chart, s, tau, nu, theta, k, l, events, ends)
 
 
 def reconstruct(traj: Trajectory) -> Curve:

@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import minkflow
 from minkflow import geometry
 from minkflow.cli import _parse_expr, main
 from minkflow.errors import InvalidParams
+from minkflow.invariants import InvariantKind
 from minkflow.flow import FlowGrid, FlowKind, stability_dt
 
 
@@ -350,15 +353,120 @@ class TestInvariantCommand:
         assert payload["passed"] and payload["deviation"] < 1e-8
 
 
+    # span and probe window of each kind, sampled wider than the window
+    # its motion maps the probes into
+    KIND_ARGS = {
+        "line": ["--span", "-10", "10", "--probe-fraction", "0.3", "0.7"],
+        "hyperbola": ["--params", '{"radius": 1.0}', "--span", "-4", "4"],
+        "mink-log-spiral": ["--params", '{"alpha": 0.5}', "--span", "0.05",
+                            "12", "--probe-fraction", "0.05", "0.45"],
+        "exp-diagonal": ["--span", "-6", "2.5",
+                         "--probe-fraction", "0.1", "0.55"],
+    }
+
+    @pytest.mark.parametrize("kind", [k.value for k in InvariantKind])
+    def test_every_kind_makes_and_checks(self, tmp_path, capsys, kind):
+        argv = ["--kind", kind, *self.KIND_ARGS.get(kind, ()),
+                "--out", str(tmp_path)]
+        assert run(["invariant", "make", *argv]) == 0
+        assert run(["invariant", "check", *argv]) == 0
+        payload = json.loads((tmp_path / "invariance.json").read_text())
+        assert payload["passed"]
+
     @pytest.mark.parametrize("params, words", [
         ("{}", "mink-log-spiral needs the parameter 'alpha'"),
         ("[1]", "--params must be a JSON object, not '[1]'"),
-        ("0.5", "--params must be a JSON object")])
+        ("0.5", "--params must be a JSON object"),
+        ('{"alpha": "x"}',
+         "mink-log-spiral parameter 'alpha' must be a finite number, "
+         "not 'x'"),
+        ('{"alpha": true}',
+         "mink-log-spiral parameter 'alpha' must be a finite number"),
+        ('{"alpha": NaN}',
+         "mink-log-spiral parameter 'alpha' must be a finite number"),
+        ('{"alpha": 0.5, "beta": 1}',
+         "mink-log-spiral takes no parameter 'beta'; it takes ['alpha']")])
     def test_bad_params_refused(self, capsys, params, words):
         code = run(["invariant", "check", "--kind", "mink-log-spiral",
                     "--params", params, "--span", "0.05", "12"])
         assert code == 2
         assert f"InvalidParams: {words}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, params, words", [
+        ("hyperbola", '{"radius": 0}',
+         "hyperbola parameter 'radius' must be a non-zero finite number, "
+         "not 0"),
+        ("hyperbola", '{"radius": NaN}',
+         "hyperbola parameter 'radius' must be a non-zero finite number"),
+        ("hyperbola", '{"radius": 1, "bogus": 2}',
+         "hyperbola takes no parameter 'bogus'"),
+        ("line", '{"direction": 3}',
+         "line parameter 'direction' must be two finite numbers, not 3"),
+        ("line", '{"direction": [1, 0, 0]}',
+         "line parameter 'direction' must be two finite numbers"),
+        ("line", '{"direction": [1, "0"]}',
+         "line parameter 'direction' must be two finite numbers"),
+        ("line", '{"direction": [1, Infinity]}',
+         "line parameter 'direction' must be two finite numbers"),
+        ("exp-diagonal", '{"alpha": 0.5}',
+         "exp-diagonal takes no parameter 'alpha'; it takes none")])
+    def test_bad_param_values_refused(self, tmp_path, capsys, kind, params,
+                                      words):
+        code = run(["invariant", "make", "--kind", kind, "--params", params,
+                    "--span", "-4", "4", "--out", str(tmp_path / "inv")])
+        assert code == 2
+        assert f"InvalidParams: {words}" in capsys.readouterr().err
+        assert not (tmp_path / "inv").exists()
+
+    @pytest.mark.parametrize("extra, words", [
+        (["--t-probe", "x"],
+         "--t-probe takes comma-separated numbers, not 'x'"),
+        (["--t-probe", "0.5,-2"],
+         "probe time t=-2 is outside the motion's time domain (-1, inf)"),
+        (["--t-probe", "nan"], "probe time t=nan is outside")])
+    def test_bad_probe_times_refused(self, capsys, extra, words):
+        code = run(["invariant", "check", "--kind", "mink-log-spiral",
+                    "--params", '{"alpha": 0.5}', "--span", "0.05", "12",
+                    *extra])
+        assert code == 2
+        assert f"InvalidParams: {words}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["evolve", "hyperbola-expander", "--t0", "0.5", "--t1", "0.6",
+      "--snapshots", "-3"], "--snapshots must be a positive count, not -3"),
+    (["evolve", "hyperbola-expander", "--t0", "0.5", "--t1", "0.6",
+      "--snapshots", "0"], "--snapshots must be a positive count, not 0"),
+    (["catalog", "lengths", "--all", "--points", "0"],
+     "--points must be a positive count, not 0"),
+    (["catalog", "lengths", "translator-y", "--points", "-2"],
+     "--points must be a positive count, not -2"),
+    (["invariant", "make", "--kind", "line", "--n", "0"],
+     "--n must be a positive count, not 0"),
+    (["invariant", "check", "--kind", "hyperbola", "--n", "-1"],
+     "--n must be a positive count, not -1")])
+def test_non_positive_count_refused(tmp_path, capsys, argv, words):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert f"InvalidParams: {words}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _readme_cli_commands():
+    """The minkflow commands of the README's CLI block, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("minkflow ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # run in order: plot reads the curve that selfsim writes
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_plot_command(tmp_path, capsys):

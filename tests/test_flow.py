@@ -406,6 +406,46 @@ def test_evolved_graph_stays_space_like(data):
         assert np.max(np.abs(np.diff(snap.values) / snap.h)) < 1.0
 
 
+# 1-3 positive log-cosh bumps (weight, centre, width) sharing a total
+# slope below 0.8: y = sum c w log cosh((x - m)/w), y' = sum c tanh(...).
+_BUMPS = st.tuples(
+    st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-1.0, 1.0),
+                       st.floats(0.2, 1.0)), min_size=1, max_size=3),
+    st.floats(0.05, 0.79))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_BUMPS)
+def test_graph_and_lightcone_flows_agree(data):
+    from scipy.interpolate import CubicSpline
+    from scipy.optimize import newton
+    bumps, total = data
+    scale = total / sum(wt for wt, _, _ in bumps)
+
+    def y(x):
+        return sum(scale * wt * w * np.log(np.cosh((x - m) / w))
+                   for wt, m, w in bumps)
+
+    def slope(x):
+        return sum(scale * wt * np.tanh((x - m) / w) for wt, m, w in bumps)
+
+    dx, T = 0.02, 0.05
+    xs = np.arange(-2.0, 2.0 + dx / 2, dx)
+    gg = FlowGrid(FlowKind.GRAPH_Y, xs, y(xs), 0.0)
+    # lightcone nodes eta = x - y(x) on the same stretch of curve; the
+    # root x(eta) is unique since |y'| < 1
+    etas = np.arange(xs[0] - y(xs[0]), xs[-1] - y(xs[-1]), dx)
+    x_of = newton(lambda x: x - y(x) - etas, etas,
+                  fprime=lambda x: 1.0 - slope(x), tol=1e-13, maxiter=100)
+    gl = FlowGrid(FlowKind.LIGHTCONE, etas, x_of + y(x_of), 0.0)
+    outg, outl = evolve(gg, T)[-1], evolve(gl, T)[-1]
+    spline = CubicSpline((outl.values + outl.nodes) / 2,
+                         (outl.values - outl.nodes) / 2)
+    mask = np.abs(outg.nodes) <= 1.0
+    err = np.max(np.abs(spline(outg.nodes[mask]) - outg.values[mask]))
+    assert err <= 5 * (dx ** 2 + max(stability_dt(gg), stability_dt(gl)))
+
+
 def test_grid_to_curve_view():
     h = 0.01
     xs = np.arange(-2, 2 + h / 2, h)

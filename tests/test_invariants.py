@@ -6,8 +6,8 @@ import pytest
 from minkflow import catalog, selfsim
 from minkflow.errors import DegenerateSpiral, InvalidParams
 from minkflow.hyperbolic import HyperbolicNumber as HN
-from minkflow.invariants import (EuclideanCurve, InvariantCurveSpec,
-                                 InvariantKind, check_invariance,
+from minkflow.invariants import (InvariantCurveSpec, InvariantKind,
+                                 check_invariance, invariant_motion,
                                  make_invariant_curve, point_set_deviation)
 from minkflow.selfsim import MotionLaw
 
@@ -52,8 +52,7 @@ class TestMakeInvariantCurve:
                 InvariantCurveSpec(InvariantKind.MINK_LOG_SPIRAL,
                                    {"alpha": 0.5}), (-1.0, 1.0))
 
-    @pytest.mark.parametrize("kind", [InvariantKind.MINK_LOG_SPIRAL,
-                                      InvariantKind.LOG_SPIRAL])
+    @pytest.mark.parametrize("kind", [InvariantKind.MINK_LOG_SPIRAL])
     def test_spiral_without_alpha_refused(self, kind):
         with pytest.raises(InvalidParams, match="'alpha'"):
             make_invariant_curve(InvariantCurveSpec(kind, {"beta": 0.5}),
@@ -125,31 +124,45 @@ class TestCheckInvariance:
         assert dev > 1e-2
 
 
-class TestEuclideanKinds:
-    def test_circle(self):
-        c = make_invariant_curve(
-            InvariantCurveSpec(InvariantKind.CIRCLE, {"radius": 2.0}),
-            (0.0, 4 * math.pi), n=401)
-        assert isinstance(c, EuclideanCurve)
-        assert np.allclose(np.hypot(c.x, c.y), 2.0)
-        sf = c.support_functions()
-        # tau = 0; with the left normal N = iT the centered circle has
-        # nu = -r
-        assert np.max(np.abs(sf[:, 0])) < 1e-12
-        assert np.allclose(sf[:, 1], -2.0)
+class TestInvariantMotion:
+    # (params, span, n, probe_fraction) sampling each kind wider than the
+    # window its motion maps the probes into
+    SETUPS = {
+        InvariantKind.LINE: ({"direction": [1, -0.4]}, (-10, 10), 20001,
+                             (0.3, 0.7)),
+        InvariantKind.HYPERBOLA: ({"radius": -0.7}, (-3, 3), 20001,
+                                  (0.2, 0.8)),
+        InvariantKind.MINK_LOG_SPIRAL: ({"alpha": -0.3}, (0.05, 12.0), 40001,
+                                        (0.05, 0.45)),
+        InvariantKind.EXP_DIAGONAL: ({}, (-6.0, 2.5), 40001, (0.1, 0.55)),
+    }
 
-    def test_log_spiral_support_functions(self):
-        alpha = 0.75
-        c = make_invariant_curve(
-            InvariantCurveSpec(InvariantKind.LOG_SPIRAL, {"alpha": alpha}),
-            (0.2, 8.0), n=2001)
-        sf = c.support_functions()
-        denom = 1.0 + alpha * alpha
-        assert np.max(np.abs(sf[:, 0] - c.s / denom)) < 1e-10
-        assert np.max(np.abs(sf[:, 1] + alpha * c.s / denom)) < 1e-10
-        # arc-length parametrization check
-        ds = np.hypot(np.diff(c.x), np.diff(c.y))
-        assert np.allclose(ds, np.diff(c.s), rtol=1e-4)
+    @pytest.mark.parametrize("kind", list(InvariantKind))
+    def test_motion_fixes_its_curve(self, kind):
+        params, span, n, frac = self.SETUPS[kind]
+        spec = InvariantCurveSpec(kind, params)
+        dev = check_invariance(make_invariant_curve(spec, span, n=n),
+                               invariant_motion(spec), T_PROBE,
+                               probe_fraction=frac)
+        assert dev < 1e-8
+
+    def test_defaults_filled_in(self):
+        line = make_invariant_curve(InvariantCurveSpec(InvariantKind.LINE),
+                                    (-1.0, 1.0), n=5)
+        assert np.array_equal(line.x, np.linspace(-1.0, 1.0, 5))
+        assert np.all(line.y == 0.0) and not np.any(np.signbit(line.y))
+        hyp = make_invariant_curve(
+            InvariantCurveSpec(InvariantKind.HYPERBOLA), (-1.0, 1.0), n=5)
+        assert np.allclose(hyp.k, 1.0)
+
+    @pytest.mark.parametrize("t", [-1.0, -2.0, math.nan, math.inf])
+    def test_probe_time_outside_domain_refused(self, t):
+        spec = InvariantCurveSpec(InvariantKind.MINK_LOG_SPIRAL, {"alpha": 0.5})
+        curve = make_invariant_curve(spec, (0.05, 12.0), n=101)
+        with pytest.raises(InvalidParams,
+                           match=r"probe time t=\S+ is outside the motion's "
+                                 r"time domain \(-1, inf\)"):
+            check_invariance(curve, invariant_motion(spec), (0.5, t))
 
 
 class TestDoubleRole:
