@@ -221,6 +221,16 @@ def _count(flag: str, n: int):
         raise InvalidParams(f"{flag} must be a positive count, not {n}")
 
 
+def _tol(args, default: float) -> float:
+    """The --tol override, or ``default`` without one."""
+    if args.tol is None:
+        return default
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise InvalidParams(
+            f"--tol must be positive and finite, not {args.tol:g}")
+    return args.tol
+
+
 def _soliton_params(args) -> SolitonParams:
     cx, cy = _numbers("--C", args.C, (2,))
     if args.C_basis == "diagonal":
@@ -272,7 +282,7 @@ def cmd_verify(args) -> int:
     names = [n for n in names if n]
     if not names:
         raise InvalidParams("pass --all or --names")
-    order_tol = args.tol if args.tol is not None else catalog.ORDER_TOL
+    order_tol = _tol(args, catalog.ORDER_TOL)
     results = [catalog.verify_all(only=[n], order_tol=order_tol)[0]
                for n in names]
     payload = [{"name": r["name"], "passed": r["passed"],
@@ -334,13 +344,17 @@ def cmd_catalog(args) -> int:
 
 def cmd_invariant(args) -> int:
     _count("--n", args.n)
+    lo, hi = args.span
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidParams(f"--span takes two finite numbers in increasing "
+                            f"order, not {lo:g} {hi:g}")
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise InvalidParams(
             f"--params must be a JSON object, not {args.params!r}")
     spec = invariants.InvariantCurveSpec(invariants.InvariantKind(args.kind),
                                          params)
-    curve = invariants.make_invariant_curve(spec, tuple(args.span), n=args.n)
+    curve = invariants.make_invariant_curve(spec, (lo, hi), n=args.n)
     if args.action == "make":
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"invariant-{args.kind}.csv")
@@ -348,10 +362,13 @@ def cmd_invariant(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
     t_probe = _numbers("--t-probe", args.t_probe)
+    f0, f1 = args.probe_fraction
+    if not 0.0 <= f0 < f1 <= 1.0:
+        raise InvalidParams(f"--probe-fraction takes two fractions in [0, 1] "
+                            f"in increasing order, not {f0:g} {f1:g}")
+    tol = _tol(args, 1e-8)
     dev = invariants.check_invariance(curve, invariants.invariant_motion(spec),
-                                      t_probe,
-                                      probe_fraction=tuple(args.probe_fraction))
-    tol = args.tol if args.tol is not None else 1e-8
+                                      t_probe, probe_fraction=(f0, f1))
     payload = {"kind": args.kind, "t_probe": t_probe, "deviation": dev,
                "tolerance": tol, "passed": bool(dev <= tol)}
     text = _json_dumps(payload)

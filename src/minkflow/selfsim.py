@@ -16,6 +16,7 @@ behaviour (blow-ups, axis crossings, curvature limits, cone slopes).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -241,6 +242,20 @@ def _leaving(radius: float):
     return _terminal(lambda s, u: max(abs(u[0]), abs(u[1])) - radius)
 
 
+def _switch(rhs):
+    """Terminal event: the state leaves the square max |u_i| < SWITCH_RADIUS
+    at a phase speed |(u0', u1')| of at least SWITCH_RADIUS too, with u'
+    from ``rhs``.  Next to a pole the speed is about |state|^2, so the
+    event falls where the state leaves the square; on a slow manifold the
+    speed is O(1) and the event never fires."""
+    def event(s, u):
+        r = max(abs(u[0]), abs(u[1]))
+        if r >= SWITCH_RADIUS:
+            r = min(r, math.hypot(*rhs(s, u)[:2]))
+        return r - SWITCH_RADIUS
+    return _terminal(event)
+
+
 def _phase_events(p: SolitonParams, chart: Chart, threshold: float):
     """The blow-up past ``threshold``, then crossings of the xi-axis
     (eta = 0: u0 + u1 = 0), of the eta-axis (xi = 0: u0 - u1 = 0) and
@@ -355,6 +370,60 @@ def _detect_fixed_point(p, chart, states_tail) -> tuple | None:
     return None
 
 
+@functools.cache
+def _radau():
+    """scipy's Radau, with two changes that leave every step as it is.
+
+    Its 3x3 factorisations and solves call LAPACK's getrf and getrs
+    directly: ``lu_factor`` and ``lu_solve`` spend most of their time on
+    input checks and array wrapping, about a third of a stiff phase run.
+    A non-finite matrix is still refused, as ``lu_factor`` refuses it.
+
+    Its dense output returns a step's end state at the step's end.  scipy
+    tests an event's sign there on the end state but finds the root on the
+    interpolant, which can differ in the last bits; where an event is
+    rounding noise (u0 - u1 at |state| ~ 1e8) the two can disagree in sign
+    and the root finder then raises.
+
+    Built on first use, so importing this module imports no scipy.
+    """
+    from scipy.integrate import Radau
+    from scipy.integrate._ivp.radau import RadauDenseOutput
+    from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
+
+    class Dense(RadauDenseOutput):
+        def __init__(self, out, y):
+            super().__init__(out.t_old, out.t, out.y_old, out.Q)
+            self.y = y
+
+        def _call_impl(self, t):
+            y = super()._call_impl(t)
+            return np.where(t == self.t, self.y if y.ndim == 1
+                            else self.y[:, None], y)
+
+    class LapackRadau(Radau):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            # Radau binds its scipy.linalg pair to each instance.
+            self.lu, self.solve_lu = self._getrf, self._getrs
+
+        def _getrf(self, A):
+            self.nlu += 1
+            if not np.isfinite(A).all():
+                raise ValueError("array must not contain infs or NaNs")
+            getrf = zgetrf if A.dtype.kind == "c" else dgetrf
+            return getrf(A, overwrite_a=True)[:2]
+
+        @staticmethod
+        def _getrs(LU, b):
+            getrs = zgetrs if LU[0].dtype.kind == "c" else dgetrs
+            return getrs(*LU, b, overwrite_b=True)[0]
+
+        def _dense_output_impl(self):
+            return Dense(super()._dense_output_impl(), self.y)
+    return LapackRadau
+
+
 def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
                     init: Sequence[float] = (0.0, -1.0), s_max=20.0,
                     rtol: float = RTOL, atol: float = ATOL,
@@ -371,18 +440,24 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     "DOP853" or "Radau"; trajectories hugging a strongly attracting slow
     manifold are stiff and need "Radau".
 
-    A side whose state climbs through |state| = SWITCH_RADIUS continues
-    from there, with the same method and rtol and the same events, in
-    the chart of ``_tail_chart``: the diagonal components u0 +- u1,
-    which keep the small one's relative precision, against phase
-    arclength, in which the approach to the pole costs steps logarithmic
-    in |state| rather than quadratic.  Samples up to the switch come
+    A side whose state climbs through |state| = SWITCH_RADIUS at a pole
+    continues from there, with DOP853 whatever ``method`` is, at the same
+    rtol and with the same events, in the chart of ``_tail_chart``: the
+    diagonal components u0 +- u1, which keep the small one's relative
+    precision, against phase arclength, in which the approach to the pole
+    costs steps logarithmic in |state| rather than quadratic.  Next to a
+    pole that chart is not stiff: DOP853 takes 63 and 61 steps over the
+    tails of the two stiff runs of acceptance criterion 7, where Radau's
+    low-order error estimate took 995 and 989.  The switch needs a phase
+    speed |(u0', u1')| of SWITCH_RADIUS too (``_switch``), about 1e4 at a
+    pole and O(1) on a slow manifold, so a side creeping along one past
+    |state| = SWITCH_RADIUS stays in s.  Samples up to the switch come
     from the first solution; later ones, and the event locations, are
     mapped back to s through the s state the chart carries.  A blow-up
     threshold at or below SWITCH_RADIUS never switches.  Should the tail
     stop on a step-size failure (its field overflows past |state| ~ 1e154,
     and its chart is singular where the field vanishes), the side is
-    solved in s throughout instead.
+    solved in s throughout instead.  "Radau" runs ``_radau()``.
     """
     from scipy.integrate import solve_ivp
     if p.has_translation:
@@ -416,11 +491,13 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     rhs, jac = _phase_rhs(p, chart)
     events = _phase_events(p, chart, blowup_threshold)
     field = _diagonal_field(p, chart)
-    if method != "Radau":
+    if method == "Radau":
+        method = _radau()
+    else:
         jac = None
 
-    def solve(f, j, span, state, evs, tol):
-        return solve_ivp(f, (0.0, span), state, method=method, events=evs,
+    def solve(f, j, span, state, evs, tol, how=method):
+        return solve_ivp(f, (0.0, span), state, method=how, events=evs,
                          rtol=rtol, atol=tol, dense_output=True,
                          **({} if j is None else {"jac": j}))
 
@@ -428,22 +505,22 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
         """Samples, events and end of one side, out to |s| = span."""
         # An empty side reports no events, not the ones sitting at s = 0.
         sol = None if span == 0.0 else solve(
-            f, j, span, u0, events + [_leaving(SWITCH_RADIUS)], atol)
+            f, j, span, u0, events + [_switch(f)], atol)
         switched = sol is not None and sol.t_events[4].size > 0
         tail = None
         if switched and not sol.t_events[0].size:
             s_switch = float(sol.t[-1])
             U = sol.y[:, -1]
-            # _both_ways hands the backward side the mirrored rhs.  Stiff
-            # methods difference the chart's Jacobian, which they form
-            # only 10-20 times per tail.  A threshold past ~1e154
-            # overflows F, and the solver then stops as below.
+            # _both_ways hands the backward side the mirrored rhs.  Next
+            # to a pole the chart is not stiff, whatever the method of the
+            # side.  A threshold past ~1e154 overflows F, and the solver
+            # then stops as below.
             with np.errstate(over="ignore", invalid="ignore"):
                 tail = solve(_tail_chart(field, 1.0 if f is rhs else -1.0),
                              None, math.inf,
                              (U[0] + U[1], U[0] - U[1], U[2], s_switch),
                              _tail_events(field, blowup_threshold, span),
-                             tail_atol)
+                             tail_atol, "DOP853")
             if tail.status == -1:
                 # A step-size failure: F overflowed, or the chart met a
                 # point where F vanishes.  Finish this side in s instead.

@@ -431,6 +431,43 @@ class TestInvariantCommand:
         assert code == 2
         assert f"InvalidParams: {words}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action, extra, words", [
+        ("check", ["--span", "nan", "4"], "--span takes two finite numbers "
+         "in increasing order, not nan 4"),
+        ("make", ["--span", "-4", "inf"], "--span takes two finite numbers"),
+        ("check", ["--span", "4", "-4"], "--span takes two finite numbers "
+         "in increasing order, not 4 -4"),
+        ("check", ["--span", "-4", "4", "--probe-fraction", "0", "2"],
+         "--probe-fraction takes two fractions in [0, 1] in increasing "
+         "order, not 0 2"),
+        ("check", ["--span", "-4", "4", "--probe-fraction", "-0.1", "0.5"],
+         "--probe-fraction takes two fractions in [0, 1]"),
+        ("check", ["--span", "-4", "4", "--probe-fraction", "0.6", "0.4"],
+         "--probe-fraction takes two fractions in [0, 1]"),
+        ("check", ["--span", "-4", "4", "--probe-fraction", "nan", "0.5"],
+         "--probe-fraction takes two fractions in [0, 1]")])
+    def test_bad_span_or_probe_fraction_refused(self, tmp_path, capsys,
+                                                action, extra, words):
+        out = tmp_path / "inv"
+        code = run(["invariant", action, "--kind", "hyperbola", *extra,
+                    "--out", str(out)])
+        assert code == 2
+        assert f"InvalidParams: {words}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", "check", "--kind", "hyperbola", "--span", "-4", "4"],
+    ["verify", "--names", "translator-y"]])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_bad_tol_refused(tmp_path, capsys, argv, tol):
+    out = tmp_path / "out"
+    assert run([*argv, "--tol", tol, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (f"InvalidParams: --tol must be positive and finite, not {tol}"
+            in captured.err)
+    assert captured.out == "" and not out.exists()
+
 
 @pytest.mark.parametrize("argv, words", [
     (["evolve", "hyperbola-expander", "--t0", "0.5", "--t1", "0.6",

@@ -193,6 +193,10 @@ BLOWUP_RUNS = {
         (SolitonParams(0.0, -1.0), Chart.TAU_NU, (0.0, 1.0), 20.0, {}),
         1.2586883293483402),
 }
+# (steps, nfev, njev, nlu) of the Radau creep of each stiff run, the
+# stretch along the slow manifold up to the switch.
+CREEP_COUNTS = {"rotation trapped": (2583, 21656, 1037, 2144),
+                "screw beta>1 trapped": (2759, 23344, 800, 1686)}
 
 
 class TestPhaseSystem:
@@ -242,6 +246,20 @@ class TestArclengthTail:
         return calls
 
     @staticmethod
+    def solves(monkeypatch):
+        """(method, steps, nfev, njev, nlu) of each solve_ivp call."""
+        import scipy.integrate
+        runs, solve_ivp = [], scipy.integrate.solve_ivp
+
+        def counted(*args, method, **kw):
+            sol = solve_ivp(*args, method=method, **kw)
+            runs.append((getattr(method, "__name__", method), len(sol.t) - 1,
+                         sol.nfev, sol.njev, sol.nlu))
+            return sol
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+        return runs
+
+    @staticmethod
     def in_s_only(*args, **kw):
         """The same run with every step taken in s."""
         with pytest.MonkeyPatch.context() as mp:
@@ -257,6 +275,31 @@ class TestArclengthTail:
         assert traj.ends["forward"]["kind"] == "blowup"
         assert traj.events["blowups"][-1] == pytest.approx(s_blow, rel=1e-9)
         assert traj.s[-1] == traj.events["blowups"][-1]
+
+    @pytest.mark.parametrize("name", sorted(CREEP_COUNTS))
+    def test_stiff_run_tail_is_explicit(self, name, monkeypatch):
+        # The creep is stiff, the tail next to the pole is not; Radau took
+        # 995 and 989 steps over the tail.
+        runs = self.solves(monkeypatch)
+        (p, chart, init, s_max, kw), _ = BLOWUP_RUNS[name]
+        ss.integrate_phase(p, chart, init, s_max=s_max, **kw)
+        creep, tail = runs  # the backward side is empty
+        assert creep == ("LapackRadau", *CREEP_COUNTS[name])
+        assert tail[0] == "DOP853" and tail[1] <= 100
+
+    def test_slow_manifold_never_switches(self, monkeypatch):
+        # Radau along a slow manifold: max |u_i| passes SWITCH_RADIUS near
+        # s = 50 at a phase speed of O(1), so the side stays in s.
+        args = (SolitonParams(2.0, 1.0), Chart.KL, (0.0, -50.0))
+        kw = {"s_max": (0.0, 60.0), "method": "Radau"}
+        calls = self.counted(monkeypatch)
+        traj = ss.integrate_phase(*args, **kw)
+        ref = self.in_s_only(*args, **kw)
+        assert not calls
+        assert np.max(np.abs(traj.l)) > ss.SWITCH_RADIUS
+        for key in ("s", "tau", "nu", "theta"):
+            assert np.array_equal(getattr(traj, key), getattr(ref, key)), key
+        assert traj.events == ref.events and traj.ends == ref.ends
 
     def test_cut_inside_tail(self, monkeypatch):
         # s_max = 1.258 ends both sides between the switch (|s| ~ 1.2489)
@@ -315,17 +358,63 @@ class TestArclengthTail:
         # Past |state| ~ 1e154 the tail's field overflows and the solver
         # stops on a step-size failure short of this threshold; the side
         # is then solved in s, as if it had never switched, and no
-        # overflow warning escapes.
+        # overflow warning escapes.  In s, u0 - u1 is rounding noise near
+        # the pole, which once made Radau's event root finder raise, at
+        # any rtol; the looser one spares Radau 17k steps per side in s.
         p, args = SolitonParams(0.0, -1.0), (Chart.TAU_NU, (0.0, 1.0))
-        kw = {"s_max": 20.0, "blowup_threshold": 1e200}
         calls = self.counted(monkeypatch)
-        traj = ss.integrate_phase(p, *args, **kw)
-        ref = self.in_s_only(p, *args, **kw)
-        assert len(calls) == 2
-        assert traj.ends["forward"]["kind"] == "unresolved"
-        for key in ("s", "tau", "nu", "theta"):
-            assert np.array_equal(getattr(traj, key), getattr(ref, key)), key
-        assert traj.events == ref.events and traj.ends == ref.ends
+        for method in ({}, {"method": "Radau", "rtol": 1e-8, "atol": 1e-10}):
+            kw = {"s_max": 20.0, "blowup_threshold": 1e200, **method}
+            calls.clear()
+            traj = ss.integrate_phase(p, *args, **kw)
+            ref = self.in_s_only(p, *args, **kw)
+            assert len(calls) == 2
+            assert traj.ends["forward"]["kind"] == "unresolved"
+            for key in ("s", "tau", "nu", "theta"):
+                assert np.array_equal(getattr(traj, key),
+                                      getattr(ref, key)), key
+            assert traj.events == ref.events and traj.ends == ref.ends
+
+
+class TestLapackRadau:
+    """``selfsim._radau`` is scipy's Radau with LAPACK called directly."""
+
+    @pytest.mark.parametrize("name", sorted(CREEP_COUNTS))
+    def test_same_steps_as_scipy(self, name):
+        from scipy.integrate import Radau, solve_ivp
+        (p, chart, init, _, kw), _ = BLOWUP_RUNS[name]
+        rhs, jac = ss._phase_rhs(p, chart)
+        events = ss._phase_events(p, chart, kw["blowup_threshold"])
+        a, b = (solve_ivp(rhs, (0.0, 1e7), (*init, 0.0), method=method,
+                          jac=jac, rtol=kw["rtol"], atol=kw["atol"],
+                          events=events + [ss._switch(rhs)],
+                          dense_output=True)
+                for method in (Radau, ss._radau()))
+        assert np.array_equal(a.t, b.t) and np.array_equal(a.y, b.y)
+        assert (a.nfev, a.njev, a.nlu) == (b.nfev, b.njev, b.nlu)
+        assert len(a.t) - 1 == CREEP_COUNTS[name][0]
+        for ta, tb in zip(a.t_events, b.t_events):
+            assert np.array_equal(ta, tb)
+
+    def test_non_finite_matrix_refused(self):
+        from scipy.integrate import solve_ivp
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0],
+                      method=ss._radau(), jac=lambda t, y: [[math.nan]])
+
+    def test_dense_output_ends_at_the_step_end(self):
+        # scipy's own interpolant misses the end state in the last bits on
+        # about one step in fifteen of this run.
+        rhs, jac = ss._phase_rhs(SolitonParams(0.0, -1.0), Chart.TAU_NU)
+        solver = ss._radau()(rhs, 0.0, np.array([0.0, 1.0, 0.0]), 1.0,
+                             rtol=1e-12, atol=1e-14, jac=jac)
+        while solver.status == "running":
+            y_old = solver.y
+            solver.step()
+            sol = solver.dense_output()
+            assert np.array_equal(sol(solver.t), solver.y)
+            assert np.array_equal(sol(np.array([solver.t_old, solver.t])),
+                                  np.column_stack([y_old, solver.y]))
 
 
 class TestReconstruct:
