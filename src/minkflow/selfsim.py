@@ -237,11 +237,6 @@ def _terminal(event):
     return event
 
 
-def _leaving(radius: float):
-    """Terminal event: the state leaves the square max |u_i| < radius."""
-    return _terminal(lambda s, u: max(abs(u[0]), abs(u[1])) - radius)
-
-
 def _switch(rhs):
     """Terminal event: the state leaves the square max |u_i| < SWITCH_RADIUS
     at a phase speed |(u0', u1')| of at least SWITCH_RADIUS too, with u'
@@ -262,8 +257,9 @@ def _phase_events(p: SolitonParams, chart: Chart, threshold: float):
     inflections (k = 0).  The axis tests hold in both charts, since
     k +- l = (a -+ b)(tau +- nu)."""
     *_, w0, w1 = _phase_coefficients(p, chart)
-    return [_leaving(threshold), lambda s, u: u[0] + u[1],
-            lambda s, u: u[0] - u[1], lambda s, u: w0 * u[0] + w1 * u[1]]
+    return [_terminal(lambda s, u: max(abs(u[0]), abs(u[1])) - threshold),
+            lambda s, u: u[0] + u[1], lambda s, u: u[0] - u[1],
+            lambda s, u: w0 * u[0] + w1 * u[1]]
 
 
 def _diagonal_field(p: SolitonParams, chart: Chart):
@@ -284,6 +280,18 @@ def _diagonal_field(p: SolitonParams, chart: Chart):
         k = kP * P + kQ * Q
         return cP + k * P, cQ - k * Q, k
     return field
+
+
+def _max_threshold(p: SolitonParams, chart: Chart) -> float:
+    """The largest blow-up threshold T whose tail field stays finite: at
+    max |u_i| = T, |P| + |Q| = 2T and ``_diagonal_field`` has |P'|, |Q'|
+    <= 4 kappa T^2 + O(1), kappa = max(|kP|, |kQ|) = (|w0| + |w1|) / 2.
+    Keeping 8 kappa T^2 within float64 lets the step that crosses T
+    overshoot it by sqrt(2); kappa >= 4 / max keeps 2T itself finite."""
+    *_, w0, w1 = _phase_coefficients(p, chart)
+    big = float(np.finfo(float).max)
+    kappa = max(0.5 * (abs(w0) + abs(w1)), 4.0 / big)
+    return math.sqrt(0.125 * big) / math.sqrt(kappa)
 
 
 def _tail_chart(field, sign: float):
@@ -372,34 +380,17 @@ def _detect_fixed_point(p, chart, states_tail) -> tuple | None:
 
 @functools.cache
 def _radau():
-    """scipy's Radau, with two changes that leave every step as it is.
+    """scipy's Radau, with its 3x3 factorisations and solves calling
+    LAPACK's getrf and getrs directly; every step is the same as scipy's.
 
-    Its 3x3 factorisations and solves call LAPACK's getrf and getrs
-    directly: ``lu_factor`` and ``lu_solve`` spend most of their time on
-    input checks and array wrapping, about a third of a stiff phase run.
-    A non-finite matrix is still refused, as ``lu_factor`` refuses it.
-
-    Its dense output returns a step's end state at the step's end.  scipy
-    tests an event's sign there on the end state but finds the root on the
-    interpolant, which can differ in the last bits; where an event is
-    rounding noise (u0 - u1 at |state| ~ 1e8) the two can disagree in sign
-    and the root finder then raises.
+    ``lu_factor`` and ``lu_solve`` spend most of their time on input
+    checks and array wrapping, about a third of a stiff phase run.  A
+    non-finite matrix is still refused, as ``lu_factor`` refuses it.
 
     Built on first use, so importing this module imports no scipy.
     """
     from scipy.integrate import Radau
-    from scipy.integrate._ivp.radau import RadauDenseOutput
     from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
-
-    class Dense(RadauDenseOutput):
-        def __init__(self, out, y):
-            super().__init__(out.t_old, out.t, out.y_old, out.Q)
-            self.y = y
-
-        def _call_impl(self, t):
-            y = super()._call_impl(t)
-            return np.where(t == self.t, self.y if y.ndim == 1
-                            else self.y[:, None], y)
 
     class LapackRadau(Radau):
         def __init__(self, *args, **kw):
@@ -418,9 +409,6 @@ def _radau():
         def _getrs(LU, b):
             getrs = zgetrs if LU[0].dtype.kind == "c" else dgetrs
             return getrs(*LU, b, overwrite_b=True)[0]
-
-        def _dense_output_impl(self):
-            return Dense(super()._dense_output_impl(), self.y)
     return LapackRadau
 
 
@@ -445,19 +433,17 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     rtol and with the same events, in the chart of ``_tail_chart``: the
     diagonal components u0 +- u1, which keep the small one's relative
     precision, against phase arclength, in which the approach to the pole
-    costs steps logarithmic in |state| rather than quadratic.  Next to a
-    pole that chart is not stiff: DOP853 takes 63 and 61 steps over the
-    tails of the two stiff runs of acceptance criterion 7, where Radau's
-    low-order error estimate took 995 and 989.  The switch needs a phase
+    costs steps logarithmic in |state| rather than quadratic; next to a
+    pole that chart is not stiff.  The switch needs a phase
     speed |(u0', u1')| of SWITCH_RADIUS too (``_switch``), about 1e4 at a
     pole and O(1) on a slow manifold, so a side creeping along one past
     |state| = SWITCH_RADIUS stays in s.  Samples up to the switch come
     from the first solution; later ones, and the event locations, are
     mapped back to s through the s state the chart carries.  A blow-up
-    threshold at or below SWITCH_RADIUS never switches.  Should the tail
-    stop on a step-size failure (its field overflows past |state| ~ 1e154,
-    and its chart is singular where the field vanishes), the side is
-    solved in s throughout instead.  "Radau" runs ``_radau()``.
+    threshold at or below SWITCH_RADIUS never switches.  One above
+    ``_max_threshold`` is refused: the tail's field would overflow before
+    the state got there (6.7e153 in (tau, nu) for a = 0, b = -1; 6.7e152
+    for b = -100).  "Radau" runs ``_radau()``.
     """
     from scipy.integrate import solve_ivp
     if p.has_translation:
@@ -479,6 +465,15 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     if not all(math.isfinite(v) and v >= 0.0 for v in (s_back, s_fwd)):
         raise InvalidParams(
             f"s_max must be finite and non-negative, got {s_max}")
+    if not (0.0 < rtol < math.inf and 0.0 <= atol < math.inf):
+        raise InvalidParams(f"tolerances must be finite, rtol positive and "
+                            f"atol non-negative, got {rtol=}, {atol=}")
+    if n_per_side < 2:
+        raise InvalidParams(f"n_per_side must be at least 2, got {n_per_side}")
+    bound = _max_threshold(p, chart)
+    if not 0.0 < blowup_threshold <= bound:
+        raise InvalidParams(f"blowup_threshold must be positive and at most "
+                            f"{bound:.17g}, got {blowup_threshold}")
 
     # The tail keeps the scalar atol: drift is monitored only below
     # STATE_CAP, far under the switch.
@@ -512,20 +507,12 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
             s_switch = float(sol.t[-1])
             U = sol.y[:, -1]
             # _both_ways hands the backward side the mirrored rhs.  Next
-            # to a pole the chart is not stiff, whatever the method of the
-            # side.  A threshold past ~1e154 overflows F, and the solver
-            # then stops as below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                tail = solve(_tail_chart(field, 1.0 if f is rhs else -1.0),
-                             None, math.inf,
-                             (U[0] + U[1], U[0] - U[1], U[2], s_switch),
-                             _tail_events(field, blowup_threshold, span),
-                             tail_atol, "DOP853")
-            if tail.status == -1:
-                # A step-size failure: F overflowed, or the chart met a
-                # point where F vanishes.  Finish this side in s instead.
-                tail = None
-                sol = solve(f, j, span, u0, events, atol)
+            # to a pole the chart is not stiff, whatever the side's method.
+            tail = solve(_tail_chart(field, 1.0 if f is rhs else -1.0),
+                         None, math.inf,
+                         (U[0] + U[1], U[0] - U[1], U[2], s_switch),
+                         _tail_events(field, blowup_threshold, span),
+                         tail_atol, "DOP853")
         s_last = 0.0 if sol is None else float(sol.t[-1])
         found = [[float(t) for t in t_ev]
                  for t_ev in ([()] * 4 if sol is None else sol.t_events[:4])]
@@ -639,6 +626,9 @@ def integrate_graph(p: SolitonParams, y0: float, yp0: float,
     """
     if abs(yp0) >= 1.0:
         raise InvalidParams("initial slope must satisfy |y'| < 1")
+    if not 0.0 <= x_max < math.inf:
+        raise InvalidParams(
+            f"x_max must be finite and non-negative, got {x_max}")
     a, b, c1, c2 = p.a, p.b, p.C.x, p.C.y
 
     def ypp(x, y, v):
@@ -681,6 +671,8 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
     if xip0 <= 0.0:
         raise InvalidParams("initial xi' must be positive (space-like)")
     lo, hi = eta_span
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParams(f"eta_span must be finite, got {tuple(eta_span)}")
     if not (lo <= 0.0 <= hi):
         raise InvalidParams("eta_span must contain the anchor eta = 0")
     a, b, d1, d2 = p.a, p.b, p.C.xi, p.C.eta
@@ -820,6 +812,9 @@ def conserved_drift(p: SolitonParams, traj_or_curve) -> dict:
             mask = (xi <= XI_CAP) & (inner * np.sign(inner[i0] or 1.0) > 0.0)
     else:
         mask = np.maximum(np.abs(tau), np.abs(nu)) <= STATE_CAP
+        if name.startswith("nu^2"):
+            # On the solution line nu = 0 the invariant is 0: no log.
+            mask &= nu != 0.0
     if not np.any(mask) or not mask[i0]:
         return {"name": name, "value": math.nan, "drift": math.nan,
                 "n_monitored": int(np.count_nonzero(mask))}
@@ -1005,6 +1000,8 @@ def screw_translate_curve(A: float, branch: int = -1,
     1e-8 away from every root of D.
     """
     from scipy.integrate import tanhsinh
+    if n < 2:
+        raise InvalidParams(f"n must be at least 2, got {n}")
     branches = [b for b in screw_branches(A) if b["spacelike"]]
     if not branches:
         raise TimeLikeBranch(f"no space-like branch for A={A}")
