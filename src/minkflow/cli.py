@@ -283,8 +283,7 @@ def cmd_verify(args) -> int:
     if not names:
         raise InvalidParams("pass --all or --names")
     order_tol = _tol(args, catalog.ORDER_TOL)
-    results = [catalog.verify_all(only=[n], order_tol=order_tol)[0]
-               for n in names]
+    results = catalog.verify_all(only=names, order_tol=order_tol)
     payload = [{"name": r["name"], "passed": r["passed"],
                 "report": dataclasses.asdict(r["report"])} for r in results]
     text = _json_dumps(payload)

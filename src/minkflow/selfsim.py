@@ -41,6 +41,10 @@ SWITCH_RADIUS = 100.0
 # float64; outside these caps cancellation noise exceeds the drift budget.
 STATE_CAP = 15.0
 XI_CAP = 12.0
+# atol of the components kept under relative error control (nu when a = 0
+# in (tau, nu), the carried screw defect): at or below it they hold no
+# relative precision, so conserved_drift does not monitor such nodes.
+RELATIVE_FLOOR = 1e-290
 
 
 class Chart(enum.Enum):
@@ -481,7 +485,7 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     if p.a == 0.0 and chart is Chart.TAU_NU:
         # nu decays like e^{-b s^2/2} and never changes sign; keep its
         # error control relative so the conserved quantity stays exact.
-        atol = np.array([atol, min(atol, 1e-290), atol])
+        atol = np.array([atol, min(atol, RELATIVE_FLOOR), atol])
 
     rhs, jac = _phase_rhs(p, chart)
     events = _phase_events(p, chart, blowup_threshold)
@@ -681,17 +685,16 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
     # delta = xi'/2 - xi + 1 decays like e^{-xi}; integrating delta itself
     # (with relative error control) keeps the invariant representable
     # where reconstructing it from (xi, xi') would cancel to noise.
-    screw_trans = (a == 1.0 and b == 1.0 and d1 == 0.0 and d2 == 1.0)
-    atol = ATOL
-    if screw_trans:
-        def rhs(eta, u):
-            xi, delta, _ = u
-            w = 2.0 * (xi - 1.0 + delta)
-            return (w, -w * delta, math.sqrt(w))
-
+    carried = _SCREW_TRANSLATION.applies(p)
+    if carried:
         def slope(u):
             return 2.0 * (u[0] - 1.0 + u[1])
-        atol = np.array([ATOL, 1e-290, ATOL])
+
+        def rhs(eta, u):
+            w = slope(u)
+            return (w, -w * u[1], math.sqrt(w))
+        u0 = (xi0, 0.5 * xip0 - xi0 + 1.0, 0.0)
+        atol = np.array([ATOL, RELATIVE_FLOOR, ATOL])
     else:
         def xipp(eta, xi, w):
             return w * ((a + b) * xi + (a - b) * eta * w + d1 - d2 * w)
@@ -702,6 +705,7 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
 
         def slope(u):
             return u[1]
+        u0, atol = (xi0, xip0, 0.0), ATOL
 
     def degenerate(eta, u):
         return slope(u) - SLOPE_TOL
@@ -711,9 +715,6 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
         return max(abs(u[0]), abs(slope(u))) - BLOWUP_THRESHOLD
     blowup.terminal = True
 
-    u0 = ((xi0, 0.5 * xip0 - xi0 + 1.0, 0.0) if screw_trans
-          else (xi0, xip0, 0.0))
-
     eta, (xi, aux, s), fwd, bwd = _both_ways(
         _dense_side(u0, [degenerate, blowup], n, atol), rhs, (-lo, hi))
     events = []
@@ -722,18 +723,14 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
             if len(sol.t_events[i]):
                 events.append({"event": name,
                                "eta": sign * float(sol.t_events[i][0])})
-    if screw_trans:
-        w = 2.0 * (xi - 1.0 + aux)
-        xipp_vals = 2.0 * w * (1.0 - aux)
-    else:
-        w = aux
-        xipp_vals = xipp(eta, xi, w)
+    w = slope((xi, aux))
+    xipp_vals = 2.0 * w * (1.0 - aux) if carried else xipp(eta, xi, w)
     # Keep samples strictly space-like (the terminal node may sit on it).
     keep = w > 0.0
     curve = _lightcone_curve(eta[keep], xi[keep], w[keep], xipp_vals[keep],
                              s=s[keep])
     curve.events["lightcone"] = events
-    if screw_trans:
+    if carried:
         curve.events["screw_delta"] = aux[keep]
     return curve
 
@@ -742,100 +739,104 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
 # conserved quantities
 
 
-def _invariant_name(p: SolitonParams) -> str:
-    if p.a == 0.0 and abs(p.b) > 0.0 and not p.has_translation:
-        return "nu^2 exp(b(tau^2-nu^2))"
-    if p.b == 0.0 and p.a != 0.0 and not p.has_translation:
-        return "a(tau^2-nu^2) - 2 theta"
-    if p.a == 1.0 and p.b == 1.0 and p.has_translation \
-            and abs(p.C.xi) < 1e-14 and abs(p.C.eta - 1.0) < 1e-14:
-        return "exp(xi)(xi'/2 - xi + 1)"
+@dataclass(frozen=True)
+class _Conserved:
+    """A family's first integral Q = r^m e^E, or Q = E alone when m = 0.
+
+    ``terms(p, xp, tau, nu, theta, xi)`` gives (r, E), with exp taken
+    from ``xp``: math at one state, numpy along a run.  xi is None unless
+    the state holds it.
+    """
+
+    name: str
+    applies: Callable[[SolitonParams], bool]
+    m: int
+    terms: Callable
+
+    def value(self, r, E):
+        return E if self.m == 0 else r ** self.m * math.exp(E)
+
+
+def _screw_terms(p, xp, tau, nu, theta, xi):
+    xi = xp.exp(theta) * (tau - nu) if xi is None else xi
+    return 0.5 * xp.exp(2.0 * theta) - xi + 1.0, xi
+
+
+# C = (0, 1) exactly: integrate_lightcone's carried defect is derived for it.
+_SCREW_TRANSLATION = _Conserved(
+    "exp(xi)(xi'/2 - xi + 1)",
+    lambda p: p.a == p.b == 1.0 and p.C.xi == 0.0 and p.C.eta == 1.0, 1,
+    _screw_terms)
+_CONSERVED = (
+    _Conserved("nu^2 exp(b(tau^2-nu^2))",
+               lambda p: p.a == 0.0 and p.b != 0.0 and not p.has_translation,
+               2, lambda p, xp, tau, nu, theta, xi:
+               (nu, p.b * (tau - nu) * (tau + nu))),
+    _Conserved("a(tau^2-nu^2) - 2 theta",
+               lambda p: p.b == 0.0 and p.a != 0.0 and not p.has_translation,
+               0, lambda p, xp, tau, nu, theta, xi:
+               (None, p.a * (tau - nu) * (tau + nu) - 2.0 * theta)),
+    _SCREW_TRANSLATION)
+
+
+def _conserved(p: SolitonParams) -> _Conserved:
+    for fam in _CONSERVED:
+        if fam.applies(p):
+            return fam
     raise NoInvariantKnown(
         f"no conserved quantity registered for family {p.family!r}")
 
 
 def conserved_quantity(p: SolitonParams, state) -> float:
-    """Family invariant evaluated at a CurveSample or (tau, nu, theta).
+    """Family invariant at a CurveSample or a (tau, nu[, theta]) state.
 
-    Expansion/contraction: nu^2 e^{b(tau^2-nu^2)} (at |b|=1 this is the
-    curvature-weighted interval k^2 e^{+-<X,X>}).  Rotation (C=0):
-    a(tau^2-nu^2) - 2 theta.  Screw-translation a=b=1, C=(0,1):
-    e^xi (xi'/2 - xi + 1), with xi' = e^{2 theta} along the curve.
+    Expansion/contraction (a = 0, C = 0): nu^2 e^{b(tau^2-nu^2)} (at
+    |b| = 1 the curvature-weighted interval k^2 e^{+-<X,X>}).  Rotation
+    (b = 0, C = 0): a(tau^2-nu^2) - 2 theta.  Screw-translation (a = b = 1,
+    C = (0, 1) exactly): e^xi (xi'/2 - xi + 1), with xi' = e^{2 theta}.
     """
-    name = _invariant_name(p)
+    fam = _conserved(p)
     if isinstance(state, CurveSample):
         tau, nu, theta = state.tau, state.nu, state.theta
         xi = state.position.xi
     else:
         tau, nu = float(state[0]), float(state[1])
         theta = float(state[2]) if len(state) > 2 else 0.0
-        xi = math.exp(theta) * (tau - nu)
-    if name.startswith("nu^2"):
-        return nu * nu * math.exp(p.b * (tau - nu) * (tau + nu))
-    if name.startswith("a("):
-        return p.a * (tau - nu) * (tau + nu) - 2.0 * theta
-    xip = math.exp(2.0 * theta)
-    return math.exp(xi) * (0.5 * xip - xi + 1.0)
+        xi = None
+    return fam.value(*fam.terms(p, math, tau, nu, theta, xi))
 
 
 def conserved_drift(p: SolitonParams, traj_or_curve) -> dict:
-    """Invariant value at s=0 and its worst relative drift.
-
-    Exponential-family invariants are monitored in log space, and only on
-    the window where float64 can represent them: |tau|, |nu| <= STATE_CAP,
-    or xi <= XI_CAP for the screw-translation invariant (beyond that the
-    exponent's roundoff exceeds the 1e-8 drift budget).
+    """Invariant value at s=0 and its worst relative drift, Q = r^m e^E
+    compared in log space.  Nodes count where float64 represents Q
+    (|tau|, |nu| <= STATE_CAP, or xi <= XI_CAP for screw-translation
+    unless integrate_lightcone carried the exact defect) and r has its
+    s = 0 sign and exceeds RELATIVE_FLOOR; if the s = 0 node does not,
+    value and drift are NaN and n_monitored is 0.
     """
-    name = _invariant_name(p)
-    if isinstance(traj_or_curve, Trajectory):
-        tau, nu, theta = traj_or_curve.tau, traj_or_curve.nu, traj_or_curve.theta
-        s = traj_or_curve.s
-        xi = None
-        if name.startswith("exp(xi)"):
-            xi = np.exp(theta) * (tau - nu)
+    fam, c = _conserved(p), traj_or_curve
+    tau, nu, theta = c.tau, c.nu, c.theta
+    xi, delta = getattr(c, "xi", None), c.events.get("screw_delta")
+    if fam is _SCREW_TRANSLATION and delta is not None:
+        r, E, mask = np.asarray(delta, dtype=float), xi, True
     else:
-        c = traj_or_curve
-        tau, nu, theta, xi, s = c.tau, c.nu, c.theta, c.xi, c.s
-
-    i0 = int(np.argmin(np.abs(s)))
-    if name.startswith("exp(xi)"):
-        delta = getattr(traj_or_curve, "events", {}).get("screw_delta") \
-            if not isinstance(traj_or_curve, Trajectory) else None
-        if delta is not None:
-            # Exact defect carried by the integrator; representable at
-            # every xi, so no window cap is needed.
-            inner = np.asarray(delta, dtype=float)
-            mask = inner * np.sign(inner[i0] or 1.0) > 0.0
-        else:
-            xip = np.exp(2.0 * theta)
-            inner = 0.5 * xip - xi + 1.0
-            mask = (xi <= XI_CAP) & (inner * np.sign(inner[i0] or 1.0) > 0.0)
+        r, E = fam.terms(p, np, tau, nu, theta, xi)
+        mask = (E <= XI_CAP if fam is _SCREW_TRANSLATION
+                else np.maximum(np.abs(tau), np.abs(nu)) <= STATE_CAP)
+    i0 = int(np.argmin(np.abs(c.s)))
+    if fam.m:
+        mask = mask & (r * np.sign(r[i0]) > RELATIVE_FLOOR)
+    if not mask[i0]:
+        return {"name": fam.name, "value": math.nan, "drift": math.nan,
+                "n_monitored": 0}
+    value = fam.value(r[i0] if fam.m else None, E[i0])
+    if fam.m:
+        ref = fam.m * math.log(abs(r[i0])) + E[i0]
+        logq = fam.m * np.log(np.abs(r[mask])) + E[mask]
+        drift = np.max(np.abs(np.expm1(logq - ref)))
     else:
-        mask = np.maximum(np.abs(tau), np.abs(nu)) <= STATE_CAP
-        if name.startswith("nu^2"):
-            # On the solution line nu = 0 the invariant is 0: no log.
-            mask &= nu != 0.0
-    if not np.any(mask) or not mask[i0]:
-        return {"name": name, "value": math.nan, "drift": math.nan,
-                "n_monitored": int(np.count_nonzero(mask))}
-
-    if name.startswith("nu^2"):
-        logq = 2.0 * np.log(np.abs(nu[mask])) \
-            + p.b * (tau[mask] - nu[mask]) * (tau[mask] + nu[mask])
-        ref = 2.0 * math.log(abs(nu[i0])) \
-            + p.b * (tau[i0] - nu[i0]) * (tau[i0] + nu[i0])
-        drift = float(np.max(np.abs(np.expm1(logq - ref))))
-        value = nu[i0] ** 2 * math.exp(p.b * (tau[i0] - nu[i0]) * (tau[i0] + nu[i0]))
-    elif name.startswith("a("):
-        q = p.a * (tau[mask] - nu[mask]) * (tau[mask] + nu[mask]) - 2.0 * theta[mask]
-        value = p.a * (tau[i0] - nu[i0]) * (tau[i0] + nu[i0]) - 2.0 * theta[i0]
-        drift = float(np.max(np.abs(q - value)) / max(1.0, abs(value)))
-    else:
-        logq = xi[mask] + np.log(np.abs(inner[mask]))
-        ref = xi[i0] + math.log(abs(inner[i0]))
-        drift = float(np.max(np.abs(np.expm1(logq - ref))))
-        value = math.exp(xi[i0]) * inner[i0]
-    return {"name": name, "value": float(value), "drift": drift,
+        drift = np.max(np.abs(E[mask] - value)) / max(1.0, abs(value))
+    return {"name": fam.name, "value": float(value), "drift": float(drift),
             "n_monitored": int(np.count_nonzero(mask))}
 
 
@@ -1002,7 +1003,8 @@ def screw_translate_curve(A: float, branch: int = -1,
     from scipy.integrate import tanhsinh
     if n < 2:
         raise InvalidParams(f"n must be at least 2, got {n}")
-    branches = [b for b in screw_branches(A) if b["spacelike"]]
+    every = screw_branches(A)
+    branches = [b for b in every if b["spacelike"]]
     if not branches:
         raise TimeLikeBranch(f"no space-like branch for A={A}")
     try:
@@ -1058,6 +1060,6 @@ def screw_translate_curve(A: float, branch: int = -1,
                   *_support_from_frame(x, y, theta))
     curve.events["screw_translate"] = {
         "A": A, "branch_interval": (lo, hi),
-        "roots": screw_roots(A),
+        "roots": [b["interval"][1] for b in every[:-1]],
     }
     return curve

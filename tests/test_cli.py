@@ -337,6 +337,13 @@ class TestVerifyCommand:
             "translator-y", "euclid-reaper", "interp-tan"]
         assert all(p["passed"] for p in payload)
 
+    def test_unknown_name_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert run(["verify", "--names", "translator-y,bogus",
+                    "--out", str(out)]) == 4
+        assert not (out / "verify.json").exists()
+        assert "'bogus' is not in the registry" in capsys.readouterr().err
+
 
 class TestInvariantCommand:
     def test_make_and_check(self, tmp_path, capsys):

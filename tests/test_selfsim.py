@@ -415,8 +415,8 @@ class TestArclengthTail:
         # and screw (+-m, -beta^2 m) with beta < 1, in both charts.  The
         # reference cannot hold u0 +- u1 next to |state| ~ 1e8, where it
         # lists crossings that are rounding noise, so both runs stop at
-        # 1e6.  Initial states lie on a 1/32 grid: a nonzero |nu| below
-        # the 1e-290 floor of nu's atol (a = 0 in (tau, nu)) keeps no
+        # 1e6.  Initial states lie on a 1/32 grid: a nonzero |nu| near
+        # the 1e-290 floor of nu's atol (a = 0 in (tau, nu)) keeps little
         # relative precision, and its invariant drifts far past 1e-8.
         family, m, flip, beta2, chart, init = run
         a = -m if flip else m
@@ -708,8 +708,49 @@ class TestConservedQuantities:
                                                                  abs=1e-12)
 
     def test_no_invariant_for_general_screw(self):
-        with pytest.raises(NoInvariantKnown):
-            ss.conserved_quantity(SolitonParams(1.0, 2.0), (0.1, 0.1, 0.0))
+        # Screw-translation needs C = (0, 1) exactly; 1e-15 off it is not
+        # the normal form the invariant is derived for.
+        for p in (SolitonParams(1.0, 2.0),
+                  SolitonParams(1.0, 1.0, HN.from_diagonal(0.0, 1.0 + 1e-15))):
+            with pytest.raises(NoInvariantKnown):
+                ss.conserved_quantity(p, (0.1, 0.1, 0.0))
+
+    @pytest.mark.parametrize("eta_C, carried", [(1.0, True),
+                                                (1.0 + 1e-15, False)],
+                             ids=["exact", "1e-15 off"])
+    def test_defect_carried_only_for_exact_normal_form(self, eta_C, carried):
+        p = SolitonParams(1.0, 1.0, HN.from_diagonal(0.0, eta_C))
+        xi0 = 1.0
+        c = ss.integrate_lightcone(p, xi0,
+                                   2 * (xi0 - 1 + 0.5 * math.exp(-xi0)),
+                                   (-4.0, 3.0))
+        assert ("screw_delta" in c.events) == carried
+        if carried:
+            assert ss.conserved_drift(p, c)["drift"] < 1e-8
+        else:
+            with pytest.raises(NoInvariantKnown):
+                ss.conserved_drift(p, c)
+
+    @pytest.mark.parametrize("p, value", [
+        (SolitonParams(1.0, 0.0), -0.03 - 1600.0),
+        (SolitonParams(0.0, 1.0), 0.04 * math.exp(-0.03))],
+        ids=["rotation", "expansion"])
+    def test_large_theta(self, p, value):
+        # Only screw-translation reads xi = e^theta (tau - nu), which
+        # overflows past theta ~ 710; rotation runs pass |theta| = 710.
+        assert ss.conserved_quantity(p, (0.1, 0.2, 800.0)) == \
+            pytest.approx(value, rel=1e-14)
+
+    def test_nu_below_floor_is_not_monitored(self):
+        # nu0 = 1e-300 lies below nu's atol RELATIVE_FLOOR (a = 0 in
+        # (tau, nu)) and has no relative precision: its invariant would
+        # read 0.0 and drift by 2.9e12.
+        p = SolitonParams(0.0, -1.0)
+        traj = ss.integrate_phase(p, Chart.TAU_NU, (1.0, 1e-300),
+                                  blowup_threshold=1e6)
+        d = ss.conserved_drift(p, traj)
+        assert math.isnan(d["value"]) and math.isnan(d["drift"])
+        assert d["n_monitored"] == 0
 
     def test_drift_small_on_generic_branches(self):
         p = SolitonParams(0.0, 1.0)
