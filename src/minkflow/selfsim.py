@@ -33,17 +33,24 @@ from .hyperbolic import HyperbolicNumber
 
 BLOWUP_THRESHOLD = 1e8
 RTOL, ATOL = 1e-12, 1e-14
-# Past this |state| a phase side continues in phase arclength (see
+# Past this |state| a phase side continues in log radius (see
 # integrate_phase); below it nothing changes.
 SWITCH_RADIUS = 100.0
+# A solver step h is stiff when h |lambda_fast| reaches this, with
+# lambda_fast the fast eigenvalue of the phase Jacobian (``_fast_rate``):
+# a "Radau" side hands the rest of its run to DOP853 when its steps stop
+# being stiff, and takes it back after NSTIFF stiff DOP853 steps in a row.
+STIFF_STEP = 1.0
+NSTIFF = 3
 
 # Conserved quantities are monitored only while they are representable in
 # float64; outside these caps cancellation noise exceeds the drift budget.
 STATE_CAP = 15.0
 XI_CAP = 12.0
 # atol of the components kept under relative error control (nu when a = 0
-# in (tau, nu), the carried screw defect): at or below it they hold no
-# relative precision, so conserved_drift does not monitor such nodes.
+# in (tau, nu), k = -b nu when a = 0 in (k, l), the carried screw defect).
+# Only from RELATIVE_FLOOR / RTOL up is it within the rtol share of the
+# error, so conserved_drift monitors no node below that.
 RELATIVE_FLOOR = 1e-290
 
 
@@ -300,16 +307,18 @@ def _max_threshold(p: SolitonParams, chart: Chart) -> float:
 
 def _tail_chart(field, sign: float):
     """The phase system, run forward (sign +1) or mirrored (sign -1), in
-    the diagonal components and reparametrised by phase arclength r.
+    the diagonal components and reparametrised by log radius rho.
 
-    The state is V = (P, Q, theta, s) and dV/dr = (sign F, 1) / |F|,
-    with F = (P', Q', theta') and |F| over (P', Q').  Near a blow-up F
-    grows like |V|^2, so in s the steps shrink like 1/|V|^2; in r the
-    state moves at unit speed and the steps grow with |V| instead.
+    The state is V = (P, Q, theta, s) and dV/drho = |V| (sign F, 1) / |F|,
+    with F = (P', Q', theta'), |F| over (P', Q') and |V| = hypot(P, Q).
+    Near a blow-up F grows like |V|^2, so in s the steps shrink like
+    1/|V|^2; in rho |V| grows at most like e^rho, the growing component
+    like e^rho and the shrinking one like e^-rho, and the steps keep one
+    size.
     """
     def rhs(r, V):
         dP, dQ, k = field(V[0], V[1])
-        inv = 1.0 / math.hypot(dP, dQ)
+        inv = math.hypot(V[0], V[1]) / math.hypot(dP, dQ)
         return (sign * dP * inv, sign * dQ * inv, sign * k * inv, inv)
     return rhs
 
@@ -326,13 +335,13 @@ def _tail_events(field, threshold: float, span: float):
 
 def _at_s(tail, field, s):
     """Phase states (u0, u1, theta) of the tail-chart solution ``tail`` at
-    the parameters ``s``: Newton on the increasing s(r), whose slope is
-    1/|F|, started by linear interpolation between the solver's steps."""
+    the parameters ``s``: Newton on the increasing s(rho), whose slope is
+    |V|/|F|, started by linear interpolation between the solver's steps."""
     r = np.interp(s, tail.y[3], tail.t)
     for _ in range(8):
         V = tail.sol(r)
         dP, dQ, _ = field(V[0], V[1])
-        dr = (s - V[3]) * np.hypot(dP, dQ)
+        dr = (s - V[3]) * np.hypot(dP, dQ) / np.hypot(V[0], V[1])
         r = np.clip(r + dr, 0.0, tail.t[-1])
         if np.all(np.abs(dr) <= 4.0 * np.finfo(float).eps * r):
             break
@@ -382,14 +391,31 @@ def _detect_fixed_point(p, chart, states_tail) -> tuple | None:
     return None
 
 
+def _fast_rate(J) -> float:
+    """|lambda_fast|, the largest eigenvalue modulus of the (u0, u1) block
+    of the phase Jacobian J; h |lambda_fast| >= STIFF_STEP marks a step h
+    as stiff.  The mirrored system has the same moduli."""
+    (a, b, _), (c, d, _) = J[0], J[1]
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    half, det = 0.5 * (a + d), a * d - b * c
+    disc = half * half - det
+    return abs(half) + math.sqrt(disc) if disc >= 0.0 else math.sqrt(det)
+
+
 @functools.cache
 def _radau():
     """scipy's Radau, with its 3x3 factorisations and solves calling
-    LAPACK's getrf and getrs directly; every step is the same as scipy's.
+    LAPACK's getrf and getrs directly; every step is the same as scipy's
+    up to the handoff.
 
     ``lu_factor`` and ``lu_solve`` spend most of their time on input
     checks and array wrapping, about a third of a stiff phase run.  A
     non-finite matrix is still refused, as ``lu_factor`` refuses it.
+
+    The handoff: the run ends at the first step that is not stiff after
+    one that is, with h |lambda_fast| read off the Jacobian the step
+    already holds, so that ``integrate_phase`` can go on with
+    ``_dop853()``.  A run that is never stiff goes on to its end.
 
     Built on first use, so importing this module imports no scipy.
     """
@@ -401,6 +427,17 @@ def _radau():
             super().__init__(*args, **kw)
             # Radau binds its scipy.linalg pair to each instance.
             self.lu, self.solve_lu = self._getrf, self._getrs
+            self.stiff = False
+
+        def _step_impl(self):
+            t = self.t
+            ok, message = super()._step_impl()
+            if ok:
+                stiff = abs(self.t - t) * _fast_rate(self.J) >= STIFF_STEP
+                if self.stiff and not stiff:
+                    self.t_bound = self.t
+                self.stiff = stiff
+            return ok, message
 
         def _getrf(self, A):
             self.nlu += 1
@@ -414,6 +451,35 @@ def _radau():
             getrs = zgetrs if LU[0].dtype.kind == "c" else dgetrs
             return getrs(*LU, b, overwrite_b=True)[0]
     return LapackRadau
+
+
+@functools.cache
+def _dop853():
+    """scipy's DOP853, given the ``jac`` of the system, that ends its run
+    after NSTIFF stiff steps in a row (the NSTIFF test of Hairer's
+    dop853.f), so that ``integrate_phase`` can hand the rest back to
+    ``_radau()``.  Every step is the same as scipy's up to there.
+
+    Built on first use, so importing this module imports no scipy.
+    """
+    from scipy.integrate import DOP853
+
+    class StiffnessDOP853(DOP853):
+        def __init__(self, fun, t0, y0, t_bound, jac, **kw):
+            super().__init__(fun, t0, y0, t_bound, **kw)
+            self.phase_jac, self.stiff_steps = jac, 0
+
+        def _step_impl(self):
+            t = self.t
+            ok, message = super()._step_impl()
+            if ok:
+                rate = _fast_rate(self.phase_jac(self.t, self.y))
+                stiff = abs(self.t - t) * rate >= STIFF_STEP
+                self.stiff_steps = self.stiff_steps + 1 if stiff else 0
+                if self.stiff_steps == NSTIFF:
+                    self.t_bound = self.t
+            return ok, message
+    return StiffnessDOP853
 
 
 def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
@@ -432,22 +498,30 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     "DOP853" or "Radau"; trajectories hugging a strongly attracting slow
     manifold are stiff and need "Radau".
 
+    "Radau" runs ``_radau()``, whose every step is the same as scipy's up
+    to the handoff: once its steps stop being stiff (h |lambda_fast|
+    falls below STIFF_STEP, see ``_fast_rate``), the side goes on with
+    ``_dop853()`` at the same tolerances and events, which hands it back
+    to ``_radau()`` after NSTIFF stiff steps in a row.  A side that is
+    never stiff stays with Radau.  Samples come from whichever solver
+    covers each s, and the events of all of them are kept.
+
     A side whose state climbs through |state| = SWITCH_RADIUS at a pole
     continues from there, with DOP853 whatever ``method`` is, at the same
     rtol and with the same events, in the chart of ``_tail_chart``: the
     diagonal components u0 +- u1, which keep the small one's relative
-    precision, against phase arclength, in which the approach to the pole
+    precision, against log radius, in which the approach to the pole
     costs steps logarithmic in |state| rather than quadratic; next to a
     pole that chart is not stiff.  The switch needs a phase
     speed |(u0', u1')| of SWITCH_RADIUS too (``_switch``), about 1e4 at a
     pole and O(1) on a slow manifold, so a side creeping along one past
     |state| = SWITCH_RADIUS stays in s.  Samples up to the switch come
-    from the first solution; later ones, and the event locations, are
+    from the solvers in s; later ones, and the event locations, are
     mapped back to s through the s state the chart carries.  A blow-up
     threshold at or below SWITCH_RADIUS never switches.  One above
     ``_max_threshold`` is refused: the tail's field would overflow before
     the state got there (6.7e153 in (tau, nu) for a = 0, b = -1; 6.7e152
-    for b = -100).  "Radau" runs ``_radau()``.
+    for b = -100).
     """
     from scipy.integrate import solve_ivp
     if p.has_translation:
@@ -482,10 +556,13 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     # The tail keeps the scalar atol: drift is monitored only below
     # STATE_CAP, far under the switch.
     tail_atol = atol
-    if p.a == 0.0 and chart is Chart.TAU_NU:
-        # nu decays like e^{-b s^2/2} and never changes sign; keep its
-        # error control relative so the conserved quantity stays exact.
-        atol = np.array([atol, min(atol, RELATIVE_FLOOR), atol])
+    if p.a == 0.0:
+        # nu, and k = -b nu in (k, l), decays like e^{-b s^2/2} and never
+        # changes sign; keep its error control relative so the conserved
+        # quantity and the blow-up after it stay exact.
+        floor = min(atol, RELATIVE_FLOOR)
+        atol = np.array([atol, floor, atol] if chart is Chart.TAU_NU
+                        else [floor, atol, atol])
 
     rhs, jac = _phase_rhs(p, chart)
     events = _phase_events(p, chart, blowup_threshold)
@@ -495,35 +572,42 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     else:
         jac = None
 
-    def solve(f, j, span, state, evs, tol, how=method):
-        return solve_ivp(f, (0.0, span), state, method=how, events=evs,
+    def solve(f, j, span, state, evs, tol, how):
+        return solve_ivp(f, span, state, method=how, events=evs,
                          rtol=rtol, atol=tol, dense_output=True,
                          **({} if j is None else {"jac": j}))
 
     def side(f, j, span):
         """Samples, events and end of one side, out to |s| = span."""
-        # An empty side reports no events, not the ones sitting at s = 0.
-        sol = None if span == 0.0 else solve(
-            f, j, span, u0, events + [_switch(f)], atol)
-        switched = sol is not None and sol.t_events[4].size > 0
-        tail = None
-        if switched and not sol.t_events[0].size:
-            s_switch = float(sol.t[-1])
-            U = sol.y[:, -1]
+        # Solver pieces in s, each kept as (last s, dense solution): a
+        # "Radau" side alternates Radau and DOP853 pieces as its stiffness
+        # changes, and each piece ends itself where it hands over.  An
+        # empty side reports no events, not the ones sitting at s = 0.
+        pieces, found = [], [[], [], [], []]
+        s_last, state, how, sol = 0.0, u0, method, None
+        while s_last < span:
+            sol = solve(f, j, (s_last, span), state, events + [_switch(f)],
+                        atol, how)
+            for seen, t_ev in zip(found, sol.t_events):
+                seen += map(float, t_ev)
+            s_last, state = float(sol.t[-1]), sol.y[:, -1]
+            pieces.append((s_last, sol.sol))
+            if sol.status:
+                break
+            how = _dop853() if how is method else method
+        if sol is not None and sol.t_events[4].size and not found[0]:
             # _both_ways hands the backward side the mirrored rhs.  Next
             # to a pole the chart is not stiff, whatever the side's method.
             tail = solve(_tail_chart(field, 1.0 if f is rhs else -1.0),
-                         None, math.inf,
-                         (U[0] + U[1], U[0] - U[1], U[2], s_switch),
+                         None, (0.0, math.inf),
+                         (state[0] + state[1], state[0] - state[1], state[2],
+                          s_last),
                          _tail_events(field, blowup_threshold, span),
                          tail_atol, "DOP853")
-        s_last = 0.0 if sol is None else float(sol.t[-1])
-        found = [[float(t) for t in t_ev]
-                 for t_ev in ([()] * 4 if sol is None else sol.t_events[:4])]
-        if tail is not None:
             for seen, y_ev in zip(found, tail.y_events):
                 seen += [float(y[3]) for y in y_ev]
             s_last = span if tail.t_events[4].size else float(tail.y[3, -1])
+            pieces.append((s_last, functools.partial(_at_s, tail, field)))
         blowup, xi, eta, inflection = found
         ts = _sample_times(s_last, n_per_side)
         if blowup and s_last > 0:
@@ -535,13 +619,13 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
             ts = np.unique(np.concatenate([ts, near, [s_last]]))
         if s_last <= 0:
             samples = np.array(u0, float)[:, None]
-        elif tail is None:
-            samples = sol.sol(ts)
         else:
-            head = ts <= s_switch
+            # Each s from the first piece that reaches it.
+            which = np.searchsorted([end for end, _ in pieces], ts)
             samples = np.empty((3, len(ts)))
-            samples[:, head] = sol.sol(ts[head])
-            samples[:, ~head] = _at_s(tail, field, ts[~head])
+            for i, (_, at_s) in enumerate(pieces):
+                if np.any(mine := which == i):
+                    samples[:, mine] = at_s(ts[mine])
         fp = None if blowup else _detect_fixed_point(p, chart,
                                                      samples[:2, -100:])
         end = {"kind": "blowup" if blowup else
@@ -811,8 +895,9 @@ def conserved_drift(p: SolitonParams, traj_or_curve) -> dict:
     compared in log space.  Nodes count where float64 represents Q
     (|tau|, |nu| <= STATE_CAP, or xi <= XI_CAP for screw-translation
     unless integrate_lightcone carried the exact defect) and r has its
-    s = 0 sign and exceeds RELATIVE_FLOOR; if the s = 0 node does not,
-    value and drift are NaN and n_monitored is 0.
+    s = 0 sign and reaches RELATIVE_FLOOR / RTOL; if the s = 0 node does
+    not, value and drift are NaN and n_monitored is 0.  The log of Q is
+    taken on the monitored nodes only.
     """
     fam, c = _conserved(p), traj_or_curve
     tau, nu, theta = c.tau, c.nu, c.theta
@@ -825,7 +910,7 @@ def conserved_drift(p: SolitonParams, traj_or_curve) -> dict:
                 else np.maximum(np.abs(tau), np.abs(nu)) <= STATE_CAP)
     i0 = int(np.argmin(np.abs(c.s)))
     if fam.m:
-        mask = mask & (r * np.sign(r[i0]) > RELATIVE_FLOOR)
+        mask = mask & (r * np.sign(r[i0]) >= RELATIVE_FLOOR / RTOL)
     if not mask[i0]:
         return {"name": fam.name, "value": math.nan, "drift": math.nan,
                 "n_monitored": 0}
@@ -1026,19 +1111,19 @@ def screw_translate_curve(A: float, branch: int = -1,
 
     D = _denominator(A)
     xis = np.linspace(xi_span[0], xi_span[1], n)
-    lo, width = xis[:-1], np.diff(xis)
+    left, width = xis[:-1], np.diff(xis)
 
     def cumulative(g):
         """Integral of g(D) from xis[0] to each node: vectorized quadrature
         over 512 cells a call (which bounds tanhsinh's work arrays), in the
-        offset t from each cell's left end.  D(lo + t) = D(lo) + t +
-        A e^{-lo} expm1(-t) keeps D's relative precision next to a root,
-        which lo + t would round off."""
+        offset t from each cell's left end x.  D(x + t) = D(x) + t +
+        A e^{-x} expm1(-t) keeps D's relative precision next to a root,
+        which x + t would round off."""
         cells = []
         for i in range(0, n - 1, 512):
+            x = left[i:i + 512]
             res = tanhsinh(lambda t, d, c: g(d + t + c * np.expm1(-t)), 0.0,
-                           width[i:i + 512], args=(D(lo[i:i + 512]),
-                                                   A * np.exp(-lo[i:i + 512])),
+                           width[i:i + 512], args=(D(x), A * np.exp(-x)),
                            atol=1e-13, rtol=1e-12)
             if not np.all(res.success):
                 j = i + int(np.argmin(res.success))

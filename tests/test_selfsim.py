@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from minkflow import geometry as geo
@@ -176,6 +176,21 @@ class TestIntegratePhase:
         assert np.max(np.abs(tau_b(-ssel) + a.tau[window])) < 1e-8
         assert np.max(np.abs(nu_b(-ssel) + a.nu[window])) < 1e-8
 
+    @pytest.mark.parametrize("chart", list(Chart))
+    def test_a_zero_blowup_is_resolved(self, chart):
+        # With a = 0, nu, and k = -b nu in (k, l), decays and never changes
+        # sign.  Only (tau, nu) kept its error control relative, so in
+        # (k, l) the blow-up after k passed under atol was rounding noise:
+        # it moved by 1.7e-6 relative between rtol 1e-10 and 1e-13.
+        p, init = SolitonParams(0.0, -1.1), (-0.625, 7.40625)
+        if chart is Chart.TAU_NU:
+            init = ss.taunu_from_kl(p, *init)
+        back = [ss.integrate_phase(p, chart, init, s_max=(40.0, 0.0),
+                                   rtol=rtol, atol=0.01 * rtol,
+                                   blowup_threshold=1e6).events["blowups"]
+                for rtol in (1e-10, 1e-13)]
+        assert back[0] == pytest.approx(back[1], rel=1e-9)
+
     def test_blowup_event_recorded(self):
         p = SolitonParams(0.0, -1.0)
         traj = ss.integrate_phase(p, Chart.TAU_NU, (0.0, 1.0), s_max=20.0)
@@ -187,7 +202,7 @@ class TestIntegratePhase:
 
 
 # Blow-up parameters of the forward side, recorded when every step was
-# taken in s (before the phase-arclength continuation existed).
+# taken in s (before the tail continuation existed).
 SIG_ROT, SIG_SCREW = 1e6, 2e6
 NU_ROT = -(3.0 * SIG_ROT) ** (1.0 / 3.0)
 BLOWUP_RUNS = {
@@ -207,10 +222,9 @@ BLOWUP_RUNS = {
         (SolitonParams(0.0, -1.0), Chart.TAU_NU, (0.0, 1.0), 20.0, {}),
         1.2586883293483402),
 }
-# (steps, nfev, njev, nlu) of the Radau creep of each stiff run, the
-# stretch along the slow manifold up to the switch.
-CREEP_COUNTS = {"rotation trapped": (2583, 21656, 1037, 2144),
-                "screw beta>1 trapped": (2759, 23344, 800, 1686)}
+# Steps of the Radau creep of each stiff run along the slow manifold up to
+# the switch, with the handoff to DOP853 off (STIFF_STEP = inf).
+RADAU_ONLY_STEPS = {"rotation trapped": 2583, "screw beta>1 trapped": 2759}
 
 
 class TestPhaseSystem:
@@ -246,7 +260,8 @@ class TestPhaseSystem:
 
 class TestArclengthTail:
     """Past |state| = SWITCH_RADIUS a side continues in the diagonal
-    components against phase arclength."""
+    components against log radius (first against phase arclength, which
+    gave the class its name)."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -290,16 +305,27 @@ class TestArclengthTail:
         assert traj.events["blowups"][-1] == pytest.approx(s_blow, rel=1e-9)
         assert traj.s[-1] == traj.events["blowups"][-1]
 
-    @pytest.mark.parametrize("name", sorted(CREEP_COUNTS))
+    @pytest.mark.parametrize("name", sorted(RADAU_ONLY_STEPS))
     def test_stiff_run_tail_is_explicit(self, name, monkeypatch):
-        # The creep is stiff, the tail next to the pole is not; Radau took
-        # 995 and 989 steps over the tail.
+        # The creep is stiff, its last stretch before the switch and the
+        # tail next to the pole are not.  Radau alone took 2,583 and 2,759
+        # steps to the switch and 995 and 989 over the tail.
         runs = self.solves(monkeypatch)
         (p, chart, init, s_max, kw), _ = BLOWUP_RUNS[name]
         ss.integrate_phase(p, chart, init, s_max=s_max, **kw)
-        creep, tail = runs  # the backward side is empty
-        assert creep == ("LapackRadau", *CREEP_COUNTS[name])
-        assert tail[0] == "DOP853" and tail[1] <= 100
+        creep, stretch, tail = runs  # the backward side is empty
+        assert creep[0] == "LapackRadau" and creep[1] <= 1500
+        assert stretch[0] == "StiffnessDOP853" and stretch[1] <= 300
+        assert tail[0] == "DOP853" and tail[1] <= 40
+
+    def test_contraction_tail_steps(self, monkeypatch):
+        # In phase arclength each tail took 137 steps.
+        runs = self.solves(monkeypatch)
+        (p, chart, init, s_max, kw), _ = BLOWUP_RUNS["contraction"]
+        ss.integrate_phase(p, chart, init, s_max=s_max, **kw)
+        assert [run[0] for run in runs] == ["DOP853"] * 4
+        for tail in runs[1::2]:
+            assert tail[1] <= 80
 
     def test_slow_manifold_never_switches(self, monkeypatch):
         # Radau along a slow manifold: max |u_i| passes SWITCH_RADIUS near
@@ -426,20 +452,75 @@ class TestArclengthTail:
         kw = {"s_max": 20.0, "blowup_threshold": 1e6}
         traj = ss.integrate_phase(p, chart, init, **kw)
         ref = self.in_s_only(p, chart, init, **kw)
-        assert traj.ends == ref.ends
-        for key in ("blowups", "inflections"):
-            assert traj.events[key] == pytest.approx(ref.events[key],
-                                                     rel=1e-9)
-        assert [c["axis"] for c in traj.events["crossings"]] == \
-            [c["axis"] for c in ref.events["crossings"]]
-        assert [c["s"] for c in traj.events["crossings"]] == pytest.approx(
-            [c["s"] for c in ref.events["crossings"]], rel=1e-9)
+        _assert_same_events(traj, ref)
         (new, drift), (old, drift_ref) = map(_report, (p, p), (traj, ref))
         assert new == pytest.approx(old, rel=1e-9, nan_ok=True)
         # NaN: the run has no monitored node (nu = 0 throughout).
         for d in (drift, drift_ref):
             assert d <= 1e-8 or (math.isnan(d) and
                                  new["conserved n_monitored"] == 0)
+
+
+class TestStiffHandoff:
+    """A "Radau" side goes on with DOP853 once its steps stop being stiff,
+    and goes back to Radau when they are stiff again."""
+
+    @staticmethod
+    def radau_only(*args, **kw):
+        """The same run with the handoff off."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ss, "STIFF_STEP", math.inf)
+            return ss.integrate_phase(*args, **kw)
+
+    # The backward side hands off at s ~ -15 and then creeps along a
+    # second slow manifold: without the hand-back, DOP853 took 997,199
+    # steps there at s_max = 5000.  nfev is that of the Radau-only run
+    # with the tail in phase arclength.
+    @pytest.mark.parametrize("s_max, nfev", [(500.0, 16463),
+                                             (5000.0, 19317)])
+    def test_hand_back(self, s_max, nfev, monkeypatch):
+        args = (SolitonParams(-1.929, 0.509), Chart.KL,
+                (-1.1357215556815305, 2.9019949668137865))
+        kw = {"s_max": s_max, "method": "Radau", "rtol": 1e-10,
+              "atol": 1e-12, "blowup_threshold": 1e6}
+        runs = TestArclengthTail.solves(monkeypatch)
+        traj = ss.integrate_phase(*args, **kw)
+        assert "StiffnessDOP853" in [run[0] for run in runs]
+        assert sum(run[2] for run in runs) <= 1.25 * nfev
+        _assert_same_events(traj, self.radau_only(*args, **kw))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 64), st.floats(0.1, 2.0), st.booleans(),
+           st.booleans(), st.sampled_from(list(Chart)),
+           st.integers(-64, 64), st.integers(-1024, 1024))
+    def test_agrees_with_radau_only(self, m, b, flip_a, flip_b, chart, i,
+                                    j):
+        # a and the initial states lie on a 1/32 grid.  A second component
+        # out to +-32 starts many runs next to a slow manifold, and about
+        # one in five hands off.  a stays clear of 0: for |a| ~ 1e-14 the
+        # decaying component passes far under atol, so the blow-up after it
+        # is rounding noise and moves by 2e-6 relative between any two
+        # solvers; a = 0 floors that atol, and Radau then takes up to 50,000
+        # steps a side (test_a_zero_blowup_is_resolved covers it).
+        p = SolitonParams(-m / 32.0 if flip_a else m / 32.0,
+                          -b if flip_b else b)
+        assume(chart is Chart.TAU_NU or p.a * p.a != p.b * p.b)
+        init = (i / 32.0, j / 32.0)
+        kw = {"s_max": 40.0, "method": "Radau", "rtol": 1e-10,
+              "atol": 1e-12, "blowup_threshold": 1e6}
+        traj = ss.integrate_phase(p, chart, init, **kw)
+        _assert_same_events(traj, self.radau_only(p, chart, init, **kw))
+
+
+def _assert_same_events(traj, ref):
+    """The same ends, and the same events within 1e-9 relative."""
+    assert traj.ends == ref.ends
+    for key in ("blowups", "inflections"):
+        assert traj.events[key] == pytest.approx(ref.events[key], rel=1e-9)
+    assert [c["axis"] for c in traj.events["crossings"]] == \
+        [c["axis"] for c in ref.events["crossings"]]
+    assert [c["s"] for c in traj.events["crossings"]] == pytest.approx(
+        [c["s"] for c in ref.events["crossings"]], rel=1e-9)
 
 
 def _report(p, traj):
@@ -466,24 +547,48 @@ def _report(p, traj):
 
 
 class TestLapackRadau:
-    """``selfsim._radau`` is scipy's Radau with LAPACK called directly."""
+    """``selfsim._radau`` is scipy's Radau with LAPACK called directly, up
+    to the handoff."""
 
-    @pytest.mark.parametrize("name", sorted(CREEP_COUNTS))
-    def test_same_steps_as_scipy(self, name):
+    @staticmethod
+    def runs(name):
+        """The creep of the stiff run ``name`` with LapackRadau, and with
+        scipy's Radau out to where LapackRadau ended it."""
         from scipy.integrate import Radau, solve_ivp
         (p, chart, init, _, kw), _ = BLOWUP_RUNS[name]
         rhs, jac = ss._phase_rhs(p, chart)
         events = ss._phase_events(p, chart, kw["blowup_threshold"])
-        a, b = (solve_ivp(rhs, (0.0, 1e7), (*init, 0.0), method=method,
-                          jac=jac, rtol=kw["rtol"], atol=kw["atol"],
-                          events=events + [ss._switch(rhs)],
-                          dense_output=True)
-                for method in (Radau, ss._radau()))
+
+        def run(method, end):
+            return solve_ivp(rhs, (0.0, end), (*init, 0.0), method=method,
+                             jac=jac, rtol=kw["rtol"], atol=kw["atol"],
+                             events=events + [ss._switch(rhs)],
+                             dense_output=True)
+        ours = run(ss._radau(), 1e7)
+        return ours, run(Radau, 1e7 if ours.status else ours.t[-1])
+
+    @staticmethod
+    def assert_same(a, b):
         assert np.array_equal(a.t, b.t) and np.array_equal(a.y, b.y)
         assert (a.nfev, a.njev, a.nlu) == (b.nfev, b.njev, b.nlu)
-        assert len(a.t) - 1 == CREEP_COUNTS[name][0]
         for ta, tb in zip(a.t_events, b.t_events):
             assert np.array_equal(ta, tb)
+
+    @pytest.mark.parametrize("name", sorted(RADAU_ONLY_STEPS))
+    def test_same_steps_as_scipy(self, name):
+        # LapackRadau ends its run at the handoff to DOP853, before the
+        # switch; scipy's Radau run to that end takes the same steps.
+        ours, scipys = self.runs(name)
+        assert ours.status == 0 and len(ours.t) - 1 < RADAU_ONLY_STEPS[name]
+        self.assert_same(ours, scipys)
+
+    @pytest.mark.parametrize("name", sorted(RADAU_ONLY_STEPS))
+    def test_radau_only_same_steps_as_scipy(self, name, monkeypatch):
+        # With the handoff off, both run on to the switch.
+        monkeypatch.setattr(ss, "STIFF_STEP", math.inf)
+        ours, scipys = self.runs(name)
+        assert ours.status == 1 and len(ours.t) - 1 == RADAU_ONLY_STEPS[name]
+        self.assert_same(ours, scipys)
 
     def test_non_finite_matrix_refused(self):
         from scipy.integrate import solve_ivp
@@ -752,6 +857,32 @@ class TestConservedQuantities:
         assert math.isnan(d["value"]) and math.isnan(d["drift"])
         assert d["n_monitored"] == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_nu_without_relative_precision_is_not_monitored(self):
+        # nu0 = 1e-289 lies above nu's atol but below RELATIVE_FLOOR /
+        # RTOL, where the atol still outweighs the rtol share: the drift
+        # read 7.4e-3.
+        p = SolitonParams(0.0, -1.0)
+        traj = ss.integrate_phase(p, Chart.TAU_NU, (1.0, 1e-289),
+                                  blowup_threshold=1e6)
+        d = ss.conserved_drift(p, traj)
+        assert math.isnan(d["value"]) and math.isnan(d["drift"])
+        assert d["n_monitored"] == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_screw_defect_below_its_precision_is_skipped(self):
+        # Out to eta = 5 the carried defect decays to its 1e-290 atol while
+        # xi passes 2,900; the log of Q there overflowed expm1.
+        p = SolitonParams(1.0, 1.0, HN.from_diagonal(0.0, 1.0))
+        xi0 = 1.0
+        c = ss.integrate_lightcone(p, xi0,
+                                   2 * (xi0 - 1 + 0.5 * math.exp(-xi0)),
+                                   (-4.0, 5.0))
+        d = ss.conserved_drift(p, c)
+        assert d["value"] == pytest.approx(0.5, rel=1e-12)
+        assert d["drift"] < 1e-8
+        assert 0 < d["n_monitored"] < len(c.s)
+
     def test_drift_small_on_generic_branches(self):
         p = SolitonParams(0.0, 1.0)
         traj = ss.integrate_phase(p, Chart.TAU_NU, (0.0, -0.5), s_max=6.0)
@@ -854,6 +985,13 @@ class TestScrewTranslateCurve:
         fr = geo.frame_from_lightcone(c.eta, c.xi)
         sl = slice(5, -5)
         assert np.max(np.abs(fr.k[sl] - c.k[sl])) < 1e-3
+
+    def test_branch_interval(self):
+        # The quadrature cells' left ends once took the left root's place.
+        c = ss.screw_translate_curve(0.5, branch=-1, xi_span=(1.0, 4.0))
+        lo, hi = c.events["screw_translate"]["branch_interval"]
+        assert lo == pytest.approx(0.7680390470134656, rel=1e-14)
+        assert hi == math.inf
 
     def test_branch_guard(self):
         with pytest.raises(BranchContainsRoot):
