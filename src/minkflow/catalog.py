@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InfiniteLength, NoProfile, UnknownSolution
 from .flow import (ClosedForm, FlowKind, Plane, ResidualReport, _level,
                    _operator, residual)
+from .geometry import _GRAPH_FORMS
 
 DEFAULT_LEVELS = (0.02, 0.01, 0.005)
 ORDER_TARGET, ORDER_TOL = 2.0, 0.3
@@ -62,8 +63,8 @@ class ExactSolution:
     def length(self, t):
         """Minkowski length at time t (a float, or an array of times).
 
-        graph_y entries integrate sqrt(1 - y'^2), lightcone entries
-        sqrt(xi'), over length_bounds (default: the +-20 truncation).
+        The integrand is ds/dnode of the entry's graph form, sqrt(1 - y'^2)
+        or sqrt(xi'), over length_bounds (default: the +-20 truncation).
         Double-exponential quadrature absorbs the inverse-square-root
         endpoint behaviour of entries that end on the light cone; an
         array of times is integrated in one vectorized call.
@@ -72,13 +73,10 @@ class ExactSolution:
             raise InfiniteLength(f"{self.name} has no finite Minkowski length")
         from scipy.integrate import tanhsinh
         d1 = self.form.derivative(1)
-        if self.kind is FlowKind.GRAPH_Y:
-            def integrand(u, t):
-                v = d1(u, t)
-                return np.sqrt(np.maximum(0.0, (1.0 - v) * (1.0 + v)))
-        else:
-            def integrand(u, t):
-                return np.sqrt(np.maximum(0.0, d1(u, t)))
+        interval = _GRAPH_FORMS[self.kind.value].interval
+
+        def integrand(u, t):
+            return np.sqrt(np.maximum(0.0, interval(d1(u, t))))
         ts = np.asarray(t, dtype=float)
         bounds = self.length_bounds or (lambda _: (-20.0, 20.0))
         lo, hi = np.vectorize(bounds, otypes=[float, float])(ts)

@@ -23,7 +23,6 @@ import numpy as np
 from . import catalog, flow, geometry, invariants, selfsim, svg
 from .errors import InvalidParams, MinkflowError, UnknownSolution
 from .flow import Dirichlet, FlowGrid, FlowKind
-from .hyperbolic import HyperbolicNumber
 from .selfsim import Chart, SolitonParams
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_UNKNOWN = 0, 2, 3, 4
@@ -122,21 +121,25 @@ def _initial_grid(args) -> tuple[FlowGrid, object]:
         raise InvalidParams(f"--dx must be positive and finite, not {args.dx:g}")
     if not window[0] < window[1]:
         raise InvalidParams(f"--window {window[0]:g} {window[1]:g} is empty")
+    if not (math.isfinite(window[0]) and math.isfinite(window[1])):
+        raise InvalidParams(f"--window takes two finite numbers, not "
+                            f"{window[0]:g} {window[1]:g}")
     n = int(round((window[1] - window[0]) / args.dx)) + 1
     nodes = np.linspace(window[0], window[1], n)
+    kind = FlowKind(args.kind)
+    graph = geometry._GRAPH_FORMS[args.kind]
     if spec.startswith("csv:"):
-        curve = geometry.read_curve_csv(spec[4:])
-        kind = FlowKind(args.kind)
-        if kind is FlowKind.GRAPH_Y:
-            vals = np.interp(nodes, curve.x, curve.y)
-        else:
-            order = np.argsort(curve.eta)
-            vals = np.interp(nodes, curve.eta[order], curve.xi[order])
-        return FlowGrid(kind, nodes, vals, args.t0), None
+        at, on = graph.view(geometry.read_curve_csv(spec[4:]))
+        order = np.argsort(at)
+        at, on = at[order], on[order]
+        if not at[0] <= window[0] < window[1] <= at[-1]:
+            raise InvalidParams(
+                f"--window {window[0]:g} {window[1]:g} reaches past the "
+                f"{graph.names[0]} range [{at[0]:g}, {at[-1]:g}] of "
+                f"{spec[4:]}")
+        return FlowGrid(kind, nodes, np.interp(nodes, at, on), args.t0), None
     if spec.startswith("expr:"):
-        kind = FlowKind(args.kind)
-        var = "x" if kind is FlowKind.GRAPH_Y else "eta"
-        form = _parse_expr(spec[5:], var)
+        form = _parse_expr(spec[5:], graph.names[0])
 
         def sample(pts, t):  # FlowGrid and evolve refuse non-finite values
             with np.errstate(all="ignore"):
@@ -184,16 +187,13 @@ def cmd_evolve(args) -> int:
     snaps = flow.evolve(grid, args.t1, snapshot_every=every, boundary=bc,
                         max_dt=args.dt)
     curves = []
+    to_xy = geometry._GRAPH_FORMS[grid.kind.value].to_xy
     for i, g in enumerate(snaps):
         rows = [f"# t={g.t:.17g}", "node,value"]
         rows += [f"{u:.17g},{v:.17g}" for u, v in zip(g.nodes, g.values)]
         _atomic_write(os.path.join(args.out, f"snapshot_{i:03d}.csv"),
                       "\n".join(rows) + "\n")
-        if g.kind is FlowKind.GRAPH_Y:
-            curves.append(np.column_stack([g.nodes, g.values]))
-        else:
-            curves.append(np.column_stack([(g.values + g.nodes) / 2.0,
-                                           (g.values - g.nodes) / 2.0]))
+        curves.append(np.column_stack(to_xy(g.nodes, g.values)))
     doc = svg.render(curves, labels=[f"t={g.t:.6g}" for g in snaps],
                      config_hash=_config_hash(cfg), title=args.initial)
     _atomic_write(os.path.join(args.out, "evolve.svg"), doc)
@@ -231,17 +231,8 @@ def _tol(args, default: float) -> float:
     return args.tol
 
 
-def _soliton_params(args) -> SolitonParams:
-    cx, cy = _numbers("--C", args.C, (2,))
-    if args.C_basis == "diagonal":
-        C = HyperbolicNumber.from_diagonal(cx, cy)
-    else:
-        C = HyperbolicNumber(cx, cy)
-    return SolitonParams(args.a, args.b, C)
-
-
 def _run_trajectory(args):
-    p = _soliton_params(args)
+    p = SolitonParams(args.a, args.b)
     init = _numbers("--init", args.init, (2, 3))
     chart = Chart.TAU_NU if args.chart == "taunu" else Chart.KL
     traj = selfsim.integrate_phase(p, chart, init, s_max=args.s_max,
@@ -314,9 +305,6 @@ def cmd_catalog(args) -> int:
                 "wick_partner": e.wick_partner}
         sys.stdout.write(_json_dumps(info))
         return EXIT_OK
-    if args.action == "verify":
-        args.all, args.names = True, None
-        return cmd_verify(args)
     if args.action == "lengths":
         _count("--points", args.points)
         labels = (list(catalog.LENGTH_SERIES) if args.all or not args.name
@@ -414,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("initial",
                     help="catalog name, csv:PATH, or expr:FORMULA")
     ev.add_argument("--kind", default="graph_y",
-                    choices=[k.value for k in FlowKind])
+                    choices=list(geometry._GRAPH_FORMS))
     ev.add_argument("--t0", type=float, default=0.0)
     ev.add_argument("--t1", type=float, required=True)
     ev.add_argument("--dx", type=float, default=0.01)
@@ -432,9 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp_ = sub.add_parser(name, help=f"{name} a soliton trajectory")
         sp_.add_argument("--a", type=float, required=True)
         sp_.add_argument("--b", type=float, required=True)
-        sp_.add_argument("--C", default="0,0")
-        sp_.add_argument("--C-basis", default="standard",
-                         choices=("standard", "diagonal"))
         sp_.add_argument("--chart", default="taunu", choices=("taunu", "kl"))
         sp_.add_argument("--init", default="0,-1")
         sp_.add_argument("--s-max", type=float, default=20.0)
@@ -449,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ca = sub.add_parser("catalog", help="query the exact-solution registry")
     ca.add_argument("action",
-                    choices=("list", "show", "verify", "lengths"))
+                    choices=("list", "show", "lengths"))
     ca.add_argument("name", nargs="?")
     ca.add_argument("--all", action="store_true")
     ca.add_argument("--points", type=int, default=50)

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateSlope, NotEven, SignChange, StabilityViolation
-from .geometry import SLOPE_TOL, Curve, frame_from_graph, frame_from_lightcone
+from .geometry import _GRAPH_FORMS, SLOPE_TOL, Curve, _frame
 
 CFL = 0.4
 RTOL = 1e-6
@@ -84,26 +84,22 @@ class FlowGrid:
         return float(self.nodes[1] - self.nodes[0])
 
     def to_curve(self) -> Curve:
-        if self.kind is FlowKind.GRAPH_Y:
-            return frame_from_graph(self.nodes, self.values)
-        if self.kind is FlowKind.LIGHTCONE:
-            return frame_from_lightcone(self.nodes, self.values)
-        raise ValueError("curvature_angle grids have no direct curve view")
+        form = _GRAPH_FORMS.get(self.kind.value)
+        if form is None:
+            raise ValueError("curvature_angle grids have no direct curve view")
+        return _frame(form, self.nodes, self.values, SLOPE_TOL)
 
 
 def _check_invariants(kind, nodes, values, t):
     if not np.all(np.isfinite(values)):
         raise DegenerateSlope("the flow state became non-finite", t=t)
-    slope = (values[2:] - values[:-2]) / (nodes[2:] - nodes[:-2])
-    if kind is FlowKind.GRAPH_Y:
-        if np.max(np.abs(slope)) >= 1.0 - SLOPE_TOL:
-            raise DegenerateSlope("|y_x| reached the light-like bound", t=t)
-    elif kind is FlowKind.LIGHTCONE:
-        if np.min(slope) <= SLOPE_TOL:
-            raise DegenerateSlope("xi_eta reached the degenerate bound", t=t)
-    elif kind is FlowKind.CURVATURE_ANGLE:
-        if np.min(values) < 0.0 < np.max(values) or np.any(values == 0.0):
-            raise SignChange("curvature grid is not single-signed", t=t)
+    form = _GRAPH_FORMS.get(kind.value)
+    if form is not None:
+        slope = (values[2:] - values[:-2]) / (nodes[2:] - nodes[:-2])
+        if not np.all(form.spacelike(slope, SLOPE_TOL)):
+            raise DegenerateSlope(form.degenerate, t=t)
+    elif np.min(values) < 0.0 < np.max(values) or np.any(values == 0.0):
+        raise SignChange("curvature grid is not single-signed", t=t)
 
 
 def _operator(kind: FlowKind, u, ux, uxx, plane: Plane):

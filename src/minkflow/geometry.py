@@ -3,9 +3,10 @@
 A curve is stored as arc-length-ordered samples carrying position, the
 hyperbolic tangent angle theta (unit tangent T = e^{h*theta}, normal
 N = h*T), signed curvature k and the support functions tau = <X,T>,
-nu = <X,N>.  Two graph parametrizations are supported: y as a function
-of x with |y'| < 1, and xi as an increasing function of eta in the
-diagonal basis.
+nu = <X,N>.  Two graph forms are supported: y as a function of x with
+|y'| < 1, and xi as an increasing function of eta in the diagonal basis.
+Each is defined once, in ``_GRAPH_FORMS``: its interval, tangent angle,
+curvature, space-like test, map to (x, y) and graph view of a Curve.
 
 Infinite curves are represented by truncation.  Within float64 a slope
 saturates at +-1 once 1 - |y'| drops below one ulp, so the closed-form
@@ -16,7 +17,7 @@ discarded Minkowski length is below 1e-7.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,7 +109,7 @@ def fd_second(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 def _check_grid(nodes: np.ndarray, values: np.ndarray, names: tuple):
     for name, arr in zip(names, (nodes, values)):
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"curve {name} must be finite")
+            raise ValueError(f"curve {name}s must be finite")
     if len(nodes) < 5:
         raise GridTooCoarse(f"need at least 5 nodes, got {len(nodes)}")
     if not np.all(np.diff(nodes) > 0):
@@ -137,76 +138,90 @@ def _rebase(s: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     return s - s[int(np.argmin(np.abs(anchor)))]
 
 
-def frame_from_graph(xs, ys, resample: bool = False,
-                     slope_tol: float = SLOPE_TOL) -> Curve:
+class _GraphForm(NamedTuple):
+    """One graph form of a space-like curve: values over strictly
+    increasing nodes, with the slope v = d(value)/d(node)."""
+
+    names: tuple          # (node, value)
+    interval: Callable    # v -> (ds/dnode)^2
+    theta: Callable       # v -> the tangent angle
+    k_factor: float       # k = k_factor v' / interval^{3/2}
+    spacelike: Callable   # (v, tol) -> where v keeps the margin tol
+    to_xy: Callable       # (nodes, values) -> (x, y)
+    view: Callable        # Curve -> (nodes, values)
+    refusal: Callable     # v -> why a frame refuses it
+    degenerate: str       # why a flow grid refuses it
+
+    def curvature(self, v, vp):
+        return self.k_factor * vp / self.interval(v) ** 1.5
+
+
+# The two graph forms of the paper, keyed by their FlowKind values: y(x)
+# with |y'| < 1, and xi(eta) with xi' > 0 in the diagonal basis, where
+# T = (sqrt(xi'), 1/sqrt(xi')).  The graph interval is factored, so
+# 1 - y'^2 keeps its digits as |y'| nears 1.
+_GRAPH_FORMS = {
+    "graph_y": _GraphForm(
+        ("x", "y"), lambda v: (1.0 - v) * (1.0 + v), np.arctanh, 1.0,
+        lambda v, tol: np.abs(v) < 1.0 - tol,
+        lambda x, y: (x.copy(), y.copy()), lambda c: (c.x, c.y),
+        lambda v: f"|y'| reaches {np.max(np.abs(v)):.17g}; curve is not "
+                  "uniformly space-like",
+        "|y_x| reached the light-like bound"),
+    "lightcone": _GraphForm(
+        ("eta", "xi"), lambda v: v, lambda v: 0.5 * np.log(v), 0.5,
+        lambda v, tol: v > tol,
+        lambda eta, xi: ((xi + eta) / 2.0, (xi - eta) / 2.0),
+        lambda c: (c.eta, c.xi),
+        lambda v: f"xi' reaches {np.min(v):.17g}; curve is not space-like",
+        "xi_eta reached the degenerate bound"),
+}
+
+
+def _curve(form: _GraphForm, nodes, values, v, k, s=None) -> Curve:
+    """The Curve of a graph form from its slope v and curvature k; s
+    defaults to the trapezoidal arc length.  Arc length is rebased to the
+    node nearest 0."""
+    theta = form.theta(v)
+    if s is None:
+        s = _cumulative_trapezoid(np.sqrt(form.interval(v)), nodes)
+    x, y = form.to_xy(nodes, values)
+    tau, nu = _support_from_frame(x, y, theta)
+    return Curve(_rebase(s, nodes), x, y, theta, k, tau, nu)
+
+
+def _frame(form: _GraphForm, nodes, values, slope_tol: float) -> Curve:
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    _check_grid(nodes, values, form.names)
+    v = fd_first(nodes, values)
+    if not np.all(form.spacelike(v, slope_tol)):
+        raise NotSpaceLike(form.refusal(v))
+    return _curve(form, nodes, values, v,
+                  form.curvature(v, fd_second(nodes, values)))
+
+
+def frame_from_graph(xs, ys, slope_tol: float = SLOPE_TOL) -> Curve:
     """Frame a graph y(x) sampled on a strictly increasing grid.
 
     Derivatives are centered second-order differences (one-sided at the
     ends), theta = artanh(y'), k = y'' / (1 - y'^2)^{3/2}, and s is the
     trapezoidal integral of sqrt(1 - y'^2) rebased to the node nearest
-    x = 0.  Set ``resample`` to interpolate onto a uniform grid first.
+    x = 0.
 
     Raises ValueError on non-finite input, and NotSpaceLike when |y'|
     reaches 1 - slope_tol anywhere; pass slope_tol=0.0 to accept
     everything strictly below the light cone.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    _check_grid(xs, ys, ("xs", "ys"))
-    if resample:
-        from scipy.interpolate import CubicSpline
-        u = np.linspace(xs[0], xs[-1], len(xs))
-        ys = CubicSpline(xs, ys)(u)
-        xs = u
-    yp = fd_first(xs, ys)
-    if np.max(np.abs(yp)) >= 1.0 - slope_tol:
-        raise NotSpaceLike(
-            f"|y'| reaches {np.max(np.abs(yp)):.17g}; curve is not "
-            "uniformly space-like"
-        )
-    ypp = fd_second(xs, ys)
-    return _graph_curve(xs, ys, yp, ypp)
-
-
-def _graph_curve(xs, ys, yp, ypp, s=None) -> Curve:
-    one_minus = (1.0 - yp) * (1.0 + yp)
-    theta = np.arctanh(yp)
-    k = ypp / one_minus ** 1.5
-    if s is None:
-        s = _cumulative_trapezoid(np.sqrt(one_minus), xs)
-    s = _rebase(s, xs)
-    tau, nu = _support_from_frame(xs, ys, theta)
-    return Curve(s, xs.copy(), ys.copy(), theta, k, tau, nu)
+    return _frame(_GRAPH_FORMS["graph_y"], xs, ys, slope_tol)
 
 
 def frame_from_lightcone(etas, xis, slope_tol: float = SLOPE_TOL) -> Curve:
-    """Frame a diagonal-basis graph xi(eta) with xi' > 0.
+    """Frame a diagonal-basis graph xi(eta) with xi' > slope_tol.
 
-    T = (sqrt(xi'), 1/sqrt(xi')) in the diagonal view, so
-    theta = log(xi')/2; k = xi'' / (2 xi'^{3/2}) and ds = sqrt(xi') deta.
+    theta = log(xi')/2, k = xi'' / (2 xi'^{3/2}) and ds = sqrt(xi') deta.
     """
-    etas = np.asarray(etas, dtype=float)
-    xis = np.asarray(xis, dtype=float)
-    _check_grid(etas, xis, ("etas", "xis"))
-    xip = fd_first(etas, xis)
-    if np.min(xip) <= slope_tol:
-        raise NotSpaceLike(
-            f"xi' reaches {np.min(xip):.17g}; curve is not space-like"
-        )
-    xipp = fd_second(etas, xis)
-    return _lightcone_curve(etas, xis, xip, xipp)
-
-
-def _lightcone_curve(etas, xis, xip, xipp, s=None) -> Curve:
-    theta = 0.5 * np.log(xip)
-    k = xipp / (2.0 * xip ** 1.5)
-    if s is None:
-        s = _cumulative_trapezoid(np.sqrt(xip), etas)
-    s = _rebase(s, etas)
-    x = (xis + etas) / 2.0
-    y = (xis - etas) / 2.0
-    tau, nu = _support_from_frame(x, y, theta)
-    return Curve(s, x, y, theta, k, tau, nu)
+    return _frame(_GRAPH_FORMS["lightcone"], etas, xis, slope_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +237,18 @@ def _simpson_arclength(nodes, integrand: Callable) -> np.ndarray:
     return s
 
 
-def _trim_mask(mask: np.ndarray) -> slice:
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
+def _closed_form(form: _GraphForm, f: Callable, df: Callable, d2f: Callable,
+                 span, n: int) -> Curve:
+    nodes = np.linspace(span[0], span[1], n)
+    v = df(nodes)
+    keep = np.flatnonzero(form.spacelike(v, 0.0))
+    if len(keep) == 0:
         raise NotSpaceLike("no space-like samples in the requested window")
-    lo, hi = idx[0], idx[-1]
-    if not mask[lo:hi + 1].all():
+    if keep[-1] - keep[0] + 1 != len(keep):
         raise NotSpaceLike("space-like condition fails in the interior")
-    return slice(lo, hi + 1)
+    nodes, v = nodes[keep[0]:keep[-1] + 1], v[keep[0]:keep[-1] + 1]
+    s = _simpson_arclength(nodes, lambda u: np.sqrt(form.interval(df(u))))
+    return _curve(form, nodes, f(nodes), v, form.curvature(v, d2f(nodes)), s)
 
 
 def curve_from_graph_fn(f: Callable, df: Callable, d2f: Callable,
@@ -240,23 +259,13 @@ def curve_from_graph_fn(f: Callable, df: Callable, d2f: Callable,
     trimmed; everything kept gets machine-accurate theta, k and a
     Simpson-rule arc length.
     """
-    xs = np.linspace(x_range[0], x_range[1], n)
-    sl = _trim_mask(np.abs(df(xs)) < 1.0)
-    xs = xs[sl]
-    ys, yp, ypp = f(xs), df(xs), d2f(xs)
-    s = _simpson_arclength(xs, lambda u: np.sqrt((1.0 - df(u)) * (1.0 + df(u))))
-    return _graph_curve(xs, ys, yp, ypp, s=s)
+    return _closed_form(_GRAPH_FORMS["graph_y"], f, df, d2f, x_range, n)
 
 
 def curve_from_lightcone_fn(g: Callable, dg: Callable, d2g: Callable,
                             eta_range=(-20.0, 20.0), n: int = 20001) -> Curve:
     """Diagonal-basis analogue of curve_from_graph_fn (needs g' > 0)."""
-    etas = np.linspace(eta_range[0], eta_range[1], n)
-    sl = _trim_mask(dg(etas) > 0.0)
-    etas = etas[sl]
-    xis, xip, xipp = g(etas), dg(etas), d2g(etas)
-    s = _simpson_arclength(etas, lambda u: np.sqrt(dg(u)))
-    return _lightcone_curve(etas, xis, xip, xipp, s=s)
+    return _closed_form(_GRAPH_FORMS["lightcone"], g, dg, d2g, eta_range, n)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSpiral, InvalidParams
-from .geometry import Curve, _rebase, _support_from_frame
+from .geometry import _GRAPH_FORMS, Curve, _rebase, _support_from_frame
 from .hyperbolic import HyperbolicNumber
 from .selfsim import MotionLaw
 
@@ -40,7 +40,9 @@ class InvariantKind(enum.Enum):
 class InvariantCurveSpec:
     kind: InvariantKind
     params: dict = field(default_factory=dict)
-    center: tuple = (0.0, 0.0)
+
+
+_LIGHTCONE = _GRAPH_FORMS["lightcone"]
 
 
 def _line(u, direction):
@@ -67,17 +69,17 @@ def _spiral(u, alpha):
         raise InvalidParams("spiral parameter span must lie in (0, inf)")
     xi = u ** (1.0 + alpha) / (1.0 + alpha)
     eta = u ** (1.0 - alpha) / (1.0 - alpha)
-    return u, (xi + eta) / 2.0, (xi - eta) / 2.0, alpha * np.log(u), alpha / u
+    return (u, *_LIGHTCONE.to_xy(eta, xi), alpha * np.log(u), alpha / u)
 
 
 def _exp_diagonal(u):
     eta = u
     xi = np.exp(2.0 * eta)
-    # xi' = 2 e^{2 eta}: theta = log(xi')/2, k = xi''/(2 xi'^{3/2}).
-    theta = 0.5 * np.log(2.0 * xi)
+    # xi' = 2 xi, so k = xi''/(2 xi'^{3/2}) = e^{-eta}/sqrt(2).
     k = np.exp(-eta) / math.sqrt(2.0)
     s = math.sqrt(2.0) * np.exp(eta)
-    return _rebase(s, eta), (xi + eta) / 2.0, (xi - eta) / 2.0, theta, k
+    return (_rebase(s, eta), *_LIGHTCONE.to_xy(eta, xi),
+            _LIGHTCONE.theta(2.0 * xi), k)
 
 
 def _at_origin(t):
@@ -88,8 +90,7 @@ def _at_origin(t):
 class _Kind:
     """One invariant-curve kind: its curve, its parameters and its motion."""
 
-    build: Callable     # (u, **params) -> (s, x, y, theta, k) at u,
-                        # centred at the origin
+    build: Callable     # (u, **params) -> (s, x, y, theta, k) at u
     params: dict        # parameter -> default; None marks a required one
     motion: Callable    # (**params) -> the MotionLaw fixing the curve
 
@@ -160,13 +161,12 @@ def make_invariant_curve(spec: InvariantCurveSpec, s_span: tuple,
     params = _params(spec)
     u = np.linspace(s_span[0], s_span[1], n)
     s, x, y, theta, k = _KINDS[spec.kind].build(u, **params)
-    x, y = spec.center[0] + x, spec.center[1] + y
+    x, y = x + 0.0, y + 0.0  # a zero coordinate is 0.0, never -0.0
     return Curve(s, x, y, theta, k, *_support_from_frame(x, y, theta))
 
 
 def invariant_motion(spec: InvariantCurveSpec) -> MotionLaw:
-    """The self-similar motion that fixes the curve of ``spec`` when it is
-    centred at the origin."""
+    """The self-similar motion that fixes the curve of ``spec``."""
     return _KINDS[spec.kind].motion(**_params(spec))
 
 

@@ -26,8 +26,7 @@ import numpy as np
 from .errors import (BranchContainsRoot, Inconclusive, InvalidParams,
                      NoInvariantKnown, NonFiniteCurve, QuadratureFailed,
                      TimeLikeBranch)
-from .geometry import (SLOPE_TOL, Curve, CurveSample, _graph_curve,
-                       _lightcone_curve, _rebase, _support_from_frame,
+from .geometry import (_GRAPH_FORMS, SLOPE_TOL, Curve, CurveSample, _curve,
                        reconstruct_positions)
 from .hyperbolic import HyperbolicNumber
 
@@ -743,7 +742,8 @@ def integrate_graph(p: SolitonParams, y0: float, yp0: float,
             events.append({"event": "light_like_asymptote", "x": xe,
                            "line": {"slope": slope,
                                     "offset": float(ye - slope * xe)}})
-    curve = _graph_curve(x, y, v, ypp(x, y, v), s=s)
+    form = _GRAPH_FORMS["graph_y"]
+    curve = _curve(form, x, y, v, form.curvature(v, ypp(x, y, v)), s)
     curve.events["light_like_asymptote"] = events
     return curve
 
@@ -810,9 +810,10 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
     w = slope((xi, aux))
     xipp_vals = 2.0 * w * (1.0 - aux) if carried else xipp(eta, xi, w)
     # Keep samples strictly space-like (the terminal node may sit on it).
-    keep = w > 0.0
-    curve = _lightcone_curve(eta[keep], xi[keep], w[keep], xipp_vals[keep],
-                             s=s[keep])
+    form = _GRAPH_FORMS["lightcone"]
+    keep = form.spacelike(w, 0.0)
+    curve = _curve(form, eta[keep], xi[keep], w[keep],
+                   form.curvature(w[keep], xipp_vals[keep]), s[keep])
     curve.events["lightcone"] = events
     if carried:
         curve.events["screw_delta"] = aux[keep]
@@ -1138,11 +1139,9 @@ def screw_translate_curve(A: float, branch: int = -1,
     s = cumulative(lambda d: 1.0 / np.sqrt(2.0 * d))
 
     w = 2.0 * D(xis)              # xi'
-    theta = 0.5 * np.log(w)
-    k = (1.0 - A * np.exp(-xis)) / np.sqrt(w)
-    x, y = (xis + eta) / 2.0, (xis - eta) / 2.0
-    curve = Curve(_rebase(s, eta), x, y, theta, k,
-                  *_support_from_frame(x, y, theta))
+    # k = xi'' / (2 xi'^{3/2}) with xi'' = 2 D'(xi) xi', in closed form
+    curve = _curve(_GRAPH_FORMS["lightcone"], eta, xis, w,
+                   (1.0 - A * np.exp(-xis)) / np.sqrt(w), s)
     curve.events["screw_translate"] = {
         "A": A, "branch_interval": (lo, hi),
         "roots": [b["interval"][1] for b in every[:-1]],

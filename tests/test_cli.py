@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -115,11 +116,7 @@ class TestSelfsimCommand:
         (["--init", "1,2,3,4"],
          "InvalidParams: --init takes 2 or 3 comma-separated numbers, not 4"),
         (["--init", "x,1"],
-         "InvalidParams: --init takes comma-separated numbers, not 'x,1'"),
-        (["--C", "1,2,3"],
-         "InvalidParams: --C takes 2 comma-separated numbers, not 3"),
-        (["--C", "0,"],
-         "InvalidParams: --C takes comma-separated numbers, not '0,'")])
+         "InvalidParams: --init takes comma-separated numbers, not 'x,1'")])
     def test_bad_span_or_state_refused(self, tmp_path, capsys, extra, words):
         out = tmp_path / "run"
         code = run(["selfsim", "--a", "0", "--b", "1", "--init", "0,-0.5",
@@ -279,6 +276,83 @@ class TestEvolveCommand:
                              skip_header=2)
         err = np.max(np.abs(data[:, 1] - np.sqrt(data[:, 0] ** 2 + 1.1)))
         assert err <= 5 * (0.02 ** 2 + dt)
+
+    def test_csv_initial_reversed(self, tmp_path):
+        # A line with direction (-1, 1/2) is written with x decreasing.
+        assert run(["invariant", "make", "--kind", "line", "--params",
+                    '{"direction": [-1, 0.5]}', "--span", "-3", "3",
+                    "--n", "601", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "ev"
+        assert run(["evolve", f"csv:{tmp_path / 'invariant-line.csv'}",
+                    "--t1", "0.01", "--dx", "0.1", "--window", "-1", "1",
+                    "--out", str(out)]) == 0
+        data = np.genfromtxt(out / "snapshot_000.csv", delimiter=",",
+                             skip_header=2)
+        assert np.max(np.abs(data[:, 1] + 0.5 * data[:, 0])) < 1e-15
+
+    def test_csv_window_past_range_refused(self, tmp_path, capsys):
+        assert run(["invariant", "make", "--kind", "hyperbola", "--span",
+                    "-1", "1", "--n", "601", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "ev"
+        path = tmp_path / "invariant-hyperbola.csv"
+        for kind, window, words in (
+                ("graph_y", ("-3", "3"), "x range [-1.1752, 1.1752]"),
+                ("lightcone", ("-0.3", "0.3"),
+                 "eta range [-2.71828, -0.367879]")):
+            code = run(["evolve", f"csv:{path}", "--kind", kind, "--t1",
+                        "0.01", "--dx", "0.1", "--window", *window,
+                        "--boundary", "frozen", "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert (f"InvalidParams: --window {' '.join(window)} reaches "
+                    f"past the {words} of {path}") in err
+        assert not out.exists()
+
+    def test_csv_round_trip(self, tmp_path):
+        # The hyperbola y^2 - x^2 = 1 expands as y^2 - x^2 = 1 + 2t; in the
+        # diagonal basis it is xi = -(1 + 2t) / eta.
+        xs = np.linspace(-3.0, 3.0, 2001)
+        path = tmp_path / "curve.csv"
+        geometry.write_curve_csv(
+            geometry.frame_from_graph(xs, np.sqrt(xs * xs + 1.0)), path)
+        for kind, window, exact in (
+                ("graph_y", ("-2", "2"),
+                 lambda u, t: np.sqrt(u * u + 1.0 + 2.0 * t)),
+                ("lightcone", ("-3", "-0.5"),
+                 lambda u, t: -(1.0 + 2.0 * t) / u)):
+            out = tmp_path / kind
+            assert run(["evolve", f"csv:{path}", "--kind", kind, "--t1",
+                        "0.05", "--dx", "0.05", "--window", *window,
+                        "--snapshots", "2", "--out", str(out)]) == 0
+            for name, t, tol in (("snapshot_000.csv", 0.0, 1e-5),
+                                 ("snapshot_001.csv", 0.05, 2e-3)):
+                data = np.genfromtxt(out / name, delimiter=",",
+                                     skip_header=2)
+                mid = data[len(data) // 3: 2 * len(data) // 3]
+                assert np.max(np.abs(mid[:, 1] - exact(mid[:, 0], t))) < tol
+
+    def test_non_finite_window_refused(self, tmp_path, capsys):
+        argv = ["evolve", "translator-y", "--t1", "0.1",
+                "--out", str(tmp_path / "o")]
+        assert run([*argv, "--window", "-2", "inf"]) == 2
+        assert ("InvalidParams: --window takes two finite numbers, not "
+                "-2 inf") in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window": [-math.inf, 2]}))
+        assert "-Infinity" in cfg.read_text()
+        assert run(["--config", str(cfg), *argv]) == 2
+        assert ("InvalidParams: --window takes two finite numbers, not "
+                "-inf 2") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_kind_without_graph_form_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "curvature_angle"}))
+        assert run(["--config", str(cfg), "evolve", "expr:1", "--t1", "0.1",
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "--config key 'kind' has a bad value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_svg_determinism(self, tmp_path):
         args = ["evolve", "translator-y", "--t1", "0.05", "--dx", "0.05",

@@ -65,13 +65,6 @@ class TestFrameFromGraph:
         with pytest.raises(ValueError, match=f"{lightcone} must be finite"):
             frame_from_lightcone(data["xs"], data["ys"])
 
-    def test_resample(self):
-        xs = np.concatenate([np.linspace(-1, 0, 60)[:-1],
-                             np.linspace(0, 1, 142)])
-        c = frame_from_graph(xs, np.sqrt(xs ** 2 + 1), resample=True)
-        assert np.allclose(np.diff(c.x), np.diff(c.x)[0])
-        assert np.max(np.abs(c.k - 1.0)) < 5e-3
-
 
 class TestFrameFromLightcone:
     def test_axis(self):
