@@ -1,8 +1,8 @@
 """Curvature flow of space-like curves in the split-signature plane."""
 
 from . import catalog, errors, flow, geometry, hyperbolic, invariants, selfsim
-from .hyperbolic import CausalClass, HyperbolicNumber
-from .geometry import Curve, CurveSample
+from .hyperbolic import HyperbolicNumber
+from .geometry import Curve
 from .flow import FlowGrid, FlowKind, Plane
 from .selfsim import Chart, MotionLaw, SolitonParams, Trajectory
 
@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "catalog", "errors", "flow", "geometry", "hyperbolic", "invariants",
-    "selfsim", "CausalClass", "HyperbolicNumber", "Curve", "CurveSample",
-    "FlowGrid", "FlowKind", "Plane", "Chart", "MotionLaw", "SolitonParams",
-    "Trajectory", "__version__",
+    "selfsim", "HyperbolicNumber", "Curve", "FlowGrid", "FlowKind", "Plane",
+    "Chart", "MotionLaw", "SolitonParams", "Trajectory", "__version__",
 ]

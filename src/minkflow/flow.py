@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateSlope, NotEven, SignChange, StabilityViolation
-from .geometry import _GRAPH_FORMS, SLOPE_TOL, Curve, _frame
+from .geometry import _GRAPH_FORMS, SLOPE_TOL
 
 CFL = 0.4
 RTOL = 1e-6
@@ -82,12 +82,6 @@ class FlowGrid:
     @property
     def h(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
-
-    def to_curve(self) -> Curve:
-        form = _GRAPH_FORMS.get(self.kind.value)
-        if form is None:
-            raise ValueError("curvature_angle grids have no direct curve view")
-        return _frame(form, self.nodes, self.values, SLOPE_TOL)
 
 
 def _check_invariants(kind, nodes, values, t):

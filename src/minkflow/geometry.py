@@ -10,7 +10,7 @@ curvature, space-like test, map to (x, y) and graph view of a Curve.
 
 Infinite curves are represented by truncation.  Within float64 a slope
 saturates at +-1 once 1 - |y'| drops below one ulp, so the closed-form
-builders trim those saturated tail samples; for the catalog curves the
+builder trims those saturated tail samples; for the catalog curves the
 discarded Minkowski length is below 1e-7.
 """
 
@@ -22,22 +22,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import GridTooCoarse, NotSpaceLike
-from .hyperbolic import HyperbolicNumber
 
 # Slopes closer to light-like than this are rejected by the frame ops.
 SLOPE_TOL = 1e-8
 
 CSV_HEADER = "s,x,y,xi,eta,theta,k,tau,nu"
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    position: HyperbolicNumber
-    s: float
-    theta: float
-    k: float
-    tau: float
-    nu: float
 
 
 @dataclass
@@ -56,13 +45,6 @@ class Curve:
     def __len__(self):
         return len(self.s)
 
-    def __getitem__(self, i) -> CurveSample:
-        return CurveSample(
-            HyperbolicNumber(float(self.x[i]), float(self.y[i])),
-            float(self.s[i]), float(self.theta[i]), float(self.k[i]),
-            float(self.tau[i]), float(self.nu[i]),
-        )
-
     @property
     def xi(self) -> np.ndarray:
         return self.x + self.y
@@ -74,12 +56,6 @@ class Curve:
     @property
     def points(self) -> np.ndarray:
         return np.column_stack([self.x, self.y])
-
-    def chord_intervals(self) -> np.ndarray:
-        """Squared Minkowski interval of each chord, factored form."""
-        dx = np.diff(self.x)
-        dy = np.diff(self.y)
-        return (dx - dy) * (dx + dy)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +201,7 @@ def frame_from_lightcone(etas, xis, slope_tol: float = SLOPE_TOL) -> Curve:
 
 
 # ---------------------------------------------------------------------------
-# closed-form builders (exact derivatives, Simpson arc length, tail trim)
+# closed-form builder (exact derivatives, Simpson arc length, tail trim)
 
 
 def _simpson_arclength(nodes, integrand: Callable) -> np.ndarray:
@@ -237,9 +213,16 @@ def _simpson_arclength(nodes, integrand: Callable) -> np.ndarray:
     return s
 
 
-def _closed_form(form: _GraphForm, f: Callable, df: Callable, d2f: Callable,
-                 span, n: int) -> Curve:
-    nodes = np.linspace(span[0], span[1], n)
+def curve_from_graph_fn(f: Callable, df: Callable, d2f: Callable,
+                        x_range=(-20.0, 20.0), n: int = 20001) -> Curve:
+    """Build a Curve from y = f(x) with exact first/second derivatives.
+
+    Tail samples whose exact slope saturates to +-1 in float64 are
+    trimmed; everything kept gets machine-accurate theta, k and a
+    Simpson-rule arc length.
+    """
+    form = _GRAPH_FORMS["graph_y"]
+    nodes = np.linspace(x_range[0], x_range[1], n)
     v = df(nodes)
     keep = np.flatnonzero(form.spacelike(v, 0.0))
     if len(keep) == 0:
@@ -251,63 +234,14 @@ def _closed_form(form: _GraphForm, f: Callable, df: Callable, d2f: Callable,
     return _curve(form, nodes, f(nodes), v, form.curvature(v, d2f(nodes)), s)
 
 
-def curve_from_graph_fn(f: Callable, df: Callable, d2f: Callable,
-                        x_range=(-20.0, 20.0), n: int = 20001) -> Curve:
-    """Build a Curve from y = f(x) with exact first/second derivatives.
-
-    Tail samples whose exact slope saturates to +-1 in float64 are
-    trimmed; everything kept gets machine-accurate theta, k and a
-    Simpson-rule arc length.
-    """
-    return _closed_form(_GRAPH_FORMS["graph_y"], f, df, d2f, x_range, n)
-
-
-def curve_from_lightcone_fn(g: Callable, dg: Callable, d2g: Callable,
-                            eta_range=(-20.0, 20.0), n: int = 20001) -> Curve:
-    """Diagonal-basis analogue of curve_from_graph_fn (needs g' > 0)."""
-    return _closed_form(_GRAPH_FORMS["lightcone"], g, dg, d2g, eta_range, n)
-
-
 # ---------------------------------------------------------------------------
 # derived quantities
-
-
-def minkowski_length(curve: Curve) -> float:
-    """Total Minkowski arc length s_last - s_first."""
-    return float(curve.s[-1] - curve.s[0])
-
-
-def support_functions(curve: Curve) -> np.ndarray:
-    """(tau, nu) per sample, tau = <X,T>, nu = <X,N>; shape (n, 2)."""
-    tau, nu = _support_from_frame(curve.x, curve.y, curve.theta)
-    return np.column_stack([tau, nu])
 
 
 def reconstruct_positions(tau, nu, theta) -> np.ndarray:
     """Positions X = (tau - h*nu) e^{h*theta}; shape (n, 2).  The support
     map (x, y) -> (tau, nu) is its own inverse."""
     return np.column_stack(_support_from_frame(tau, nu, theta))
-
-
-def reflect_swap(curve: Curve) -> np.ndarray:
-    """Positions reflected across y = x (maps space-like to time-like)."""
-    return np.column_stack([curve.y, curve.x])
-
-
-def check_consistency(curve: Curve) -> dict:
-    """Discrete invariants of a curve: chord causal type and arc length.
-
-    Returns the minimum squared chord interval (positive for a space-like
-    curve) and the worst mismatch between s-increments and chord moduli
-    (first-order agreement: O(ds^3) per step on smooth data).
-    """
-    q = curve.chord_intervals()
-    ds = np.diff(curve.s)
-    chord = np.sqrt(np.abs(q))
-    return {
-        "min_chord_interval": float(np.min(q)),
-        "max_arc_mismatch": float(np.max(np.abs(ds - chord))),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Arithmetic and geometry of hyperbolic (split-complex) numbers.
+"""Arithmetic of hyperbolic (split-complex) numbers.
 
 A point (x, y) of the split-signature plane is identified with the number
 x + h*y where h*h = +1.  Multiplication is componentwise in the diagonal
 basis xi = x + y, eta = x - y, which makes the algebra isomorphic to
 R (+) R.  The squared modulus |x^2 - y^2| recovers the plane's indefinite
-metric, so unit-modulus numbers e^{h*theta} implement boosts.
+metric.  This module holds the ring operations, conjugation, modulus and
+inverse, as ``selfsim.motion_law`` uses them for C / (b + h a); the boost
+e^{h*theta} of sampled curves is applied in ``selfsim.MotionLaw.apply``.
 
 Values are immutable and all functions are pure; everything here is safe
 to use concurrently.
@@ -12,7 +14,6 @@ to use concurrently.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,12 +27,6 @@ _LD = np.longdouble
 
 # Relative half-width of the numerically light-like band.
 LIGHT_TOL = 1e-12
-
-
-class CausalClass(enum.Enum):
-    SPACE_LIKE = "space-like"
-    TIME_LIKE = "time-like"
-    LIGHT_LIKE = "light-like"
 
 
 @dataclass(frozen=True)
@@ -55,9 +50,6 @@ class HyperbolicNumber:
     @property
     def eta(self) -> float:
         return self.x - self.y
-
-    def to_diagonal(self) -> tuple[float, float]:
-        return (self.xi, self.eta)
 
     @staticmethod
     def from_diagonal(xi: float, eta: float) -> "HyperbolicNumber":
@@ -115,13 +107,6 @@ def _coerce(value) -> HyperbolicNumber:
     raise TypeError(f"cannot interpret {value!r} as a hyperbolic number")
 
 
-ONE = HyperbolicNumber(1.0, 0.0)
-H = HyperbolicNumber(0.0, 1.0)
-# Conjugate idempotents spanning the light cone (the diagonal basis).
-H_PLUS = HyperbolicNumber(0.5, 0.5)
-H_MINUS = HyperbolicNumber(0.5, -0.5)
-
-
 def mul(z1: HyperbolicNumber, z2: HyperbolicNumber) -> HyperbolicNumber:
     """Product (x1*x2 + y1*y2) + h*(x1*y2 + x2*y1).
 
@@ -136,33 +121,8 @@ def mul(z1: HyperbolicNumber, z2: HyperbolicNumber) -> HyperbolicNumber:
                             float(x1 * y2 + x2 * y1))
 
 
-def inner(z1: HyperbolicNumber, z2: HyperbolicNumber) -> float:
-    """Indefinite inner product x1*x2 - y1*y2 (= Re conj(z1)*z2).
-
-    Accumulated in extended precision, matching mul.
-    """
-    return float(_LD(z1.x) * _LD(z2.x) - _LD(z1.y) * _LD(z2.y))
-
-
 def modulus(z: HyperbolicNumber) -> float:
     return z.modulus()
-
-
-def conj(z: HyperbolicNumber) -> HyperbolicNumber:
-    return z.conj()
-
-
-def classify(z: HyperbolicNumber, tol: float = LIGHT_TOL) -> CausalClass:
-    """Causal class from the sign of x^2 - y^2.
-
-    The light-like band is relative: |x^2 - y^2| <= tol * max(1, x^2 + y^2),
-    so large coordinates classify as stably as small ones.
-    """
-    q = z.squared_interval()
-    band = tol * max(1.0, z.x * z.x + z.y * z.y)
-    if abs(q) <= band:
-        return CausalClass.LIGHT_LIKE
-    return CausalClass.SPACE_LIKE if q > 0 else CausalClass.TIME_LIKE
 
 
 def inverse(z: HyperbolicNumber) -> HyperbolicNumber:
@@ -174,17 +134,3 @@ def inverse(z: HyperbolicNumber) -> HyperbolicNumber:
     if abs(q) <= LIGHT_TOL * max(1.0, z.x * z.x + z.y * z.y):
         raise LightLikeDivision(f"{z} is light-like and has no inverse")
     return HyperbolicNumber(z.x / q, -z.y / q)
-
-
-def hyp_exp(theta: float) -> HyperbolicNumber:
-    """Unit-modulus number cosh(theta) + h*sinh(theta).
-
-    Diagonal view (e^theta, e^{-theta}); these points form the boost group
-    on the right arm of the unit hyperbola.
-    """
-    return HyperbolicNumber(math.cosh(theta), math.sinh(theta))
-
-
-def rotate(z: HyperbolicNumber, theta: float) -> HyperbolicNumber:
-    """Boost z -> e^{h*theta} z; preserves modulus and causal class."""
-    return mul(hyp_exp(theta), z)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (BranchContainsRoot, Inconclusive, InvalidParams,
                      NoInvariantKnown, NonFiniteCurve, QuadratureFailed,
                      TimeLikeBranch)
-from .geometry import (_GRAPH_FORMS, SLOPE_TOL, Curve, CurveSample, _curve,
+from .geometry import (_GRAPH_FORMS, SLOPE_TOL, Curve, _curve,
                        reconstruct_positions)
 from .hyperbolic import HyperbolicNumber
 
@@ -304,6 +304,20 @@ def _max_threshold(p: SolitonParams, chart: Chart) -> float:
     return math.sqrt(0.125 * big) / math.sqrt(kappa)
 
 
+def _threshold_refusal(p: SolitonParams, chart: Chart, T: float,
+                       bound: float) -> str:
+    """Why T is refused, for a CLI user: the CLI keeps T at its default, so
+    in (tau, nu) name --a, --b and |a| + |b| <= max / (4 T^2), which is
+    T <= bound.  In (k, l) the bound does not depend on a or b."""
+    most = float(np.finfo(float).max) / (4.0 * T * T) if T > 0.0 else 0.0
+    where = (f"in the (tau, nu) chart |a| + |b| (--a, --b) must be at most "
+             f"max_float / (4 T^2) = {most:.3g}, got "
+             f"{abs(p.a) + abs(p.b):.6g};" if chart is Chart.TAU_NU else
+             "in the (k, l) chart, where the bound does not depend on a or b,")
+    return (f"blow-up threshold T = {T:g} is out of range: {where} T must "
+            f"be positive and at most {bound:.17g}, got {T}")
+
+
 def _tail_chart(field, sign: float):
     """The phase system, run forward (sign +1) or mirrored (sign -1), in
     the diagonal components and reparametrised by log radius rho.
@@ -549,8 +563,8 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
         raise InvalidParams(f"n_per_side must be at least 2, got {n_per_side}")
     bound = _max_threshold(p, chart)
     if not 0.0 < blowup_threshold <= bound:
-        raise InvalidParams(f"blowup_threshold must be positive and at most "
-                            f"{bound:.17g}, got {blowup_threshold}")
+        raise InvalidParams(_threshold_refusal(p, chart, blowup_threshold,
+                                               bound))
 
     # The tail keeps the scalar atol: drift is monitored only below
     # STATE_CAP, far under the switch.
@@ -585,8 +599,11 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
         pieces, found = [], [[], [], [], []]
         s_last, state, how, sol = 0.0, u0, method, None
         while s_last < span:
-            sol = solve(f, j, (s_last, span), state, events + [_switch(f)],
-                        atol, how)
+            # Past |a| ~ 1e5 a DOP853 trial stage can overflow the rhs (then
+            # meet inf - inf); the solver rejects that step, so ignore both.
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol = solve(f, j, (s_last, span), state,
+                            events + [_switch(f)], atol, how)
             for seen, t_ev in zip(found, sol.t_events):
                 seen += map(float, t_ev)
             s_last, state = float(sol.t[-1]), sol.y[:, -1]
@@ -873,22 +890,18 @@ def _conserved(p: SolitonParams) -> _Conserved:
 
 
 def conserved_quantity(p: SolitonParams, state) -> float:
-    """Family invariant at a CurveSample or a (tau, nu[, theta]) state.
+    """Family invariant at a (tau, nu[, theta]) state; theta defaults to 0.
 
     Expansion/contraction (a = 0, C = 0): nu^2 e^{b(tau^2-nu^2)} (at
     |b| = 1 the curvature-weighted interval k^2 e^{+-<X,X>}).  Rotation
     (b = 0, C = 0): a(tau^2-nu^2) - 2 theta.  Screw-translation (a = b = 1,
-    C = (0, 1) exactly): e^xi (xi'/2 - xi + 1), with xi' = e^{2 theta}.
+    C = (0, 1) exactly): e^xi (xi'/2 - xi + 1), with xi' = e^{2 theta} and
+    xi = e^theta (tau - nu), the diagonal component of the position.
     """
     fam = _conserved(p)
-    if isinstance(state, CurveSample):
-        tau, nu, theta = state.tau, state.nu, state.theta
-        xi = state.position.xi
-    else:
-        tau, nu = float(state[0]), float(state[1])
-        theta = float(state[2]) if len(state) > 2 else 0.0
-        xi = None
-    return fam.value(*fam.terms(p, math, tau, nu, theta, xi))
+    tau, nu = float(state[0]), float(state[1])
+    theta = float(state[2]) if len(state) > 2 else 0.0
+    return fam.value(*fam.terms(p, math, tau, nu, theta, None))
 
 
 def conserved_drift(p: SolitonParams, traj_or_curve) -> dict:

@@ -116,7 +116,10 @@ class TestSelfsimCommand:
         (["--init", "1,2,3,4"],
          "InvalidParams: --init takes 2 or 3 comma-separated numbers, not 4"),
         (["--init", "x,1"],
-         "InvalidParams: --init takes comma-separated numbers, not 'x,1'")])
+         "InvalidParams: --init takes comma-separated numbers, not 'x,1'"),
+        # The blow-up threshold has no flag, so its refusal names --a, --b.
+        (["--a", "1e308"], "|a| + |b| (--a, --b) must be at most max_float "
+                           "/ (4 T^2) = 4.49e+291, got 1e+308")])
     def test_bad_span_or_state_refused(self, tmp_path, capsys, extra, words):
         out = tmp_path / "run"
         code = run(["selfsim", "--a", "0", "--b", "1", "--init", "0,-0.5",

@@ -12,6 +12,7 @@ from minkflow.errors import (DegenerateSlope, NotEven, SignChange,
 from minkflow.flow import (ClosedForm, Dirichlet, FlowGrid, FlowKind, Plane,
                            ecker_crossing_time, ecker_gap, evolve, log_cosh,
                            residual, stability_dt, step, wick_transform)
+from minkflow.geometry import frame_from_graph, frame_from_lightcone
 
 X, T, TH = sp.symbols("x t theta", real=True)
 
@@ -447,16 +448,13 @@ def test_graph_and_lightcone_flows_agree(data):
 
 
 def test_grid_to_curve_view():
+    # A graph-form grid is framed as a curve by its form's frame_from_*.
     h = 0.01
     xs = np.arange(-2, 2 + h / 2, h)
     g = FlowGrid(FlowKind.GRAPH_Y, xs, np.sqrt(xs ** 2 + 1.0), 0.0)
-    c = g.to_curve()
+    c = frame_from_graph(g.nodes, g.values)
     assert np.max(np.abs(c.k - 1.0)) < 1e-3
     e = np.arange(-1, 1 + h / 2, h)
     gl = FlowGrid(FlowKind.LIGHTCONE, e, np.exp(e), 0.0)
-    cl = gl.to_curve()
+    cl = frame_from_lightcone(gl.nodes, gl.values)
     assert abs(cl.k[len(cl) // 2] - 0.5) < 1e-4
-    th = np.arange(-1, 1 + h / 2, h)
-    gk = FlowGrid(FlowKind.CURVATURE_ANGLE, th, np.cosh(th), 0.0)
-    with pytest.raises(ValueError):
-        gk.to_curve()

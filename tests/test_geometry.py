@@ -5,11 +5,9 @@ import pytest
 
 from minkflow import geometry as geo
 from minkflow.errors import GridTooCoarse, NotSpaceLike
-from minkflow.geometry import (curve_from_graph_fn, curve_from_lightcone_fn,
-                               frame_from_graph, frame_from_lightcone,
-                               minkowski_length, read_curve_csv,
-                               reconstruct_positions, support_functions,
-                               write_curve_csv)
+from minkflow.geometry import (curve_from_graph_fn, frame_from_graph,
+                               frame_from_lightcone, read_curve_csv,
+                               reconstruct_positions, write_curve_csv)
 
 
 def logcosh_curve(n=200001, bound=20.0):
@@ -94,47 +92,42 @@ class TestFrameFromLightcone:
         # cannot resolve 1 - tanh(eta) at all (~1.2e-6 of length).
         e = np.linspace(-15, 15, 20001)
         c = frame_from_lightcone(e, np.tanh(e), slope_tol=0.0)
-        assert minkowski_length(c) == pytest.approx(math.pi, abs=1e-4)
+        assert c.s[-1] - c.s[0] == pytest.approx(math.pi, abs=1e-4)
 
 
 class TestLength:
     def test_straight_segment(self):
         xs = np.linspace(0, 3.5, 101)
         c = frame_from_graph(xs, np.zeros_like(xs))
-        assert minkowski_length(c) == pytest.approx(3.5, abs=1e-12)
+        assert c.s[-1] - c.s[0] == pytest.approx(3.5, abs=1e-12)
 
     def test_translator_pi(self):
         c = logcosh_curve()
-        assert minkowski_length(c) == pytest.approx(math.pi, abs=1e-6)
-
-    def test_tanh_pi(self):
-        c = curve_from_lightcone_fn(
-            np.tanh, lambda e: 1.0 / np.cosh(e) ** 2,
-            lambda e: -2.0 * np.tanh(e) / np.cosh(e) ** 2,
-            (-20, 20), 200001)
-        assert minkowski_length(c) == pytest.approx(math.pi, abs=1e-6)
+        assert c.s[-1] - c.s[0] == pytest.approx(math.pi, abs=1e-6)
 
 
 class TestSupportFunctions:
+    # The support map is its own inverse: reconstruct_positions applied to
+    # (x, y, theta) gives (tau, nu).
     def test_unit_hyperbola_fixed_point(self):
         s = np.linspace(-1, 1, 201)
         c = geo.Curve(s, np.sinh(s), np.cosh(s), s.copy(), np.ones_like(s),
                       np.zeros_like(s), -np.ones_like(s))
-        sf = support_functions(c)
+        sf = reconstruct_positions(c.x, c.y, c.theta)
         assert np.max(np.abs(sf[:, 0])) < 1e-12
         assert np.max(np.abs(sf[:, 1] + 1)) < 1e-12
 
     def test_line_through_origin(self):
         xs = np.linspace(-3, 3, 101)
         c = frame_from_graph(xs, np.zeros_like(xs))
-        sf = support_functions(c)
+        sf = reconstruct_positions(c.x, c.y, c.theta)
         assert np.allclose(sf[:, 0], c.s, atol=1e-13)
         assert np.allclose(sf[:, 1], 0.0, atol=1e-13)
 
     def test_translated_line(self):
         xs = np.linspace(-3, 3, 101)
         c = frame_from_graph(xs, np.full_like(xs, -1.0))
-        sf = support_functions(c)
+        sf = reconstruct_positions(c.x, c.y, c.theta)
         assert np.allclose(sf[:, 0], c.s, atol=1e-12)
         assert np.allclose(sf[:, 1], 1.0, atol=1e-12)
 
@@ -172,20 +165,15 @@ class TestFrameProperties:
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0
 
-    def test_reflection_makes_chords_time_like(self):
-        xs = np.linspace(-2, 2, 401)
-        c = frame_from_graph(xs, 0.3 * np.sin(xs))
-        pts = geo.reflect_swap(c)
-        dx, dy = np.diff(pts[:, 0]), np.diff(pts[:, 1])
-        assert np.all((dx - dy) * (dx + dy) < 0)
-
     def test_chord_consistency(self):
+        # Chords are space-like and match the s increments to O(ds^3).
         xs = np.linspace(-2, 2, 2001)
         c = frame_from_graph(xs, np.log(np.cosh(xs)))
-        rep = geo.check_consistency(c)
-        assert rep["min_chord_interval"] > 0
-        ds = np.max(np.diff(c.s))
-        assert rep["max_arc_mismatch"] < 10 * ds ** 3
+        dx, dy = np.diff(c.x), np.diff(c.y)
+        q = (dx - dy) * (dx + dy)
+        assert np.min(q) > 0
+        ds = np.diff(c.s)
+        assert np.max(np.abs(ds - np.sqrt(q))) < 10 * np.max(ds) ** 3
 
 
 def test_csv_round_trip(tmp_path):
