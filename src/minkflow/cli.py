@@ -235,8 +235,7 @@ def _run_trajectory(args):
     p = SolitonParams(args.a, args.b)
     init = _numbers("--init", args.init, (2, 3))
     chart = Chart.TAU_NU if args.chart == "taunu" else Chart.KL
-    traj = selfsim.integrate_phase(p, chart, init, s_max=args.s_max,
-                                   method=args.method)
+    traj = selfsim.integrate_phase(p, chart, init, s_max=args.s_max)
     return p, traj
 
 
@@ -423,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp_.add_argument("--chart", default="taunu", choices=("taunu", "kl"))
         sp_.add_argument("--init", default="0,-1")
         sp_.add_argument("--s-max", type=float, default=20.0)
-        sp_.add_argument("--method", default="DOP853",
-                         choices=("DOP853", "Radau"))
         sp_.set_defaults(func=fn)
 
     ve = sub.add_parser("verify", help="residual-verify catalog entries")

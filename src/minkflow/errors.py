@@ -65,6 +65,14 @@ class QuadratureFailed(MinkflowError):
     """Adaptive quadrature stopped short of its tolerance on some cell."""
 
 
+class SolverFailed(MinkflowError):
+    """An ODE solver stopped short of its span with no event to stop it."""
+
+    def __init__(self, solver, msg, s):
+        super().__init__(f"{solver} failed at s={s:.17g}: {msg}")
+        self.s = s
+
+
 class TimeLikeBranch(MinkflowError):
     """Selected branch has negative slope and is time-like, not space-like."""
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (BranchContainsRoot, Inconclusive, InvalidParams,
                      NoInvariantKnown, NonFiniteCurve, QuadratureFailed,
-                     TimeLikeBranch)
+                     SolverFailed, TimeLikeBranch)
 from .geometry import (_GRAPH_FORMS, SLOPE_TOL, Curve, _curve,
                        reconstruct_positions)
 from .hyperbolic import HyperbolicNumber
@@ -36,9 +36,9 @@ RTOL, ATOL = 1e-12, 1e-14
 # integrate_phase); below it nothing changes.
 SWITCH_RADIUS = 100.0
 # A solver step h is stiff when h |lambda_fast| reaches this, with
-# lambda_fast the fast eigenvalue of the phase Jacobian (``_fast_rate``):
-# a "Radau" side hands the rest of its run to DOP853 when its steps stop
-# being stiff, and takes it back after NSTIFF stiff DOP853 steps in a row.
+# lambda_fast the fast decaying eigenvalue of the phase Jacobian
+# (``_fast_rate``).  A phase side in s goes to Radau after NSTIFF stiff
+# DOP853 steps in a row, and back when its Radau steps stop being stiff.
 STIFF_STEP = 1.0
 NSTIFF = 3
 
@@ -405,14 +405,18 @@ def _detect_fixed_point(p, chart, states_tail) -> tuple | None:
 
 
 def _fast_rate(J) -> float:
-    """|lambda_fast|, the largest eigenvalue modulus of the (u0, u1) block
-    of the phase Jacobian J; h |lambda_fast| >= STIFF_STEP marks a step h
-    as stiff.  The mirrored system has the same moduli."""
+    """|lambda_fast|, the largest modulus of an eigenvalue with negative
+    real part of the (u0, u1) block of the phase Jacobian J, or 0: only a
+    decaying mode bounds an explicit step by stability, a growing one
+    bounds every solver by accuracy.  h |lambda_fast| >= STIFF_STEP marks
+    a step h as stiff; the backward side's J is the mirrored system's."""
     (a, b, _), (c, d, _) = J[0], J[1]
     a, b, c, d = float(a), float(b), float(c), float(d)
     half, det = 0.5 * (a + d), a * d - b * c
     disc = half * half - det
-    return abs(half) + math.sqrt(disc) if disc >= 0.0 else math.sqrt(det)
+    if disc >= 0.0:
+        return max(0.0, math.sqrt(disc) - half)
+    return math.sqrt(det) if half < 0.0 else 0.0
 
 
 @functools.cache
@@ -470,7 +474,7 @@ def _radau():
 def _dop853():
     """scipy's DOP853, given the ``jac`` of the system, that ends its run
     after NSTIFF stiff steps in a row (the NSTIFF test of Hairer's
-    dop853.f), so that ``integrate_phase`` can hand the rest back to
+    dop853.f), so that ``integrate_phase`` can hand the rest to
     ``_radau()``.  Every step is the same as scipy's up to there.
 
     Built on first use, so importing this module imports no scipy.
@@ -507,17 +511,17 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     the chart.  Integration runs until |state| exceeds the blow-up
     threshold (a recorded event, not an error) or |s| = s_max, which may
     be a scalar or a (backward, forward) pair.  Diagonal crossings and
-    curvature sign changes are recorded as events.  ``method`` is
-    "DOP853" or "Radau"; trajectories hugging a strongly attracting slow
-    manifold are stiff and need "Radau".
+    curvature sign changes are recorded as events.  ``method``, "DOP853"
+    or "Radau", names the solver each side starts with.
 
-    "Radau" runs ``_radau()``, whose every step is the same as scipy's up
-    to the handoff: once its steps stop being stiff (h |lambda_fast|
-    falls below STIFF_STEP, see ``_fast_rate``), the side goes on with
-    ``_dop853()`` at the same tolerances and events, which hands it back
-    to ``_radau()`` after NSTIFF stiff steps in a row.  A side that is
-    never stiff stays with Radau.  Samples come from whichever solver
-    covers each s, and the events of all of them are kept.
+    A side switches solver as its stiffness changes, at the same
+    tolerances and events: a step h is stiff when h |lambda_fast| reaches
+    STIFF_STEP (``_fast_rate``).  ``_dop853()`` hands the side to
+    ``_radau()`` after NSTIFF stiff steps in a row, and ``_radau()`` hands
+    it back at its first step that is not stiff after one that is; a side
+    that is never stiff keeps its first solver.  Samples come from
+    whichever solver covers each s, and the events of all of them are
+    kept.  A failed solver raises SolverFailed (solver, message, last s).
 
     A side whose state climbs through |state| = SWITCH_RADIUS at a pole
     continues from there, with DOP853 whatever ``method`` is, at the same
@@ -580,46 +584,49 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     rhs, jac = _phase_rhs(p, chart)
     events = _phase_events(p, chart, blowup_threshold)
     field = _diagonal_field(p, chart)
-    if method == "Radau":
-        method = _radau()
-    else:
-        jac = None
+    first = _radau() if method == "Radau" else _dop853()
 
-    def solve(f, j, span, state, evs, tol, how):
+    def solve(f, span, state, evs, tol, how, **kw):
         return solve_ivp(f, span, state, method=how, events=evs,
-                         rtol=rtol, atol=tol, dense_output=True,
-                         **({} if j is None else {"jac": j}))
+                         rtol=rtol, atol=tol, dense_output=True, **kw)
 
     def side(f, j, span):
         """Samples, events and end of one side, out to |s| = span."""
+        sign = 1.0 if f is rhs else -1.0  # backward: the mirrored rhs
         # Solver pieces in s, each kept as (last s, dense solution): a
-        # "Radau" side alternates Radau and DOP853 pieces as its stiffness
+        # side alternates DOP853 and Radau pieces as its stiffness
         # changes, and each piece ends itself where it hands over.  An
         # empty side reports no events, not the ones sitting at s = 0.
         pieces, found = [], [[], [], [], []]
-        s_last, state, how, sol = 0.0, u0, method, None
+        s_last, state, how, sol = 0.0, u0, first, None
         while s_last < span:
             # Past |a| ~ 1e5 a DOP853 trial stage can overflow the rhs (then
             # meet inf - inf); the solver rejects that step, so ignore both.
-            with np.errstate(over="ignore", invalid="ignore"):
-                sol = solve(f, j, (s_last, span), state,
-                            events + [_switch(f)], atol, how)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sol = solve(f, (s_last, span), state,
+                                events + [_switch(f)], atol, how, jac=j)
+            except ValueError as exc:  # _radau() refuses a non-finite matrix
+                raise SolverFailed(how.__name__, exc, sign * s_last) from None
+            if sol.status < 0:
+                raise SolverFailed(how.__name__, sol.message, sign * sol.t[-1])
             for seen, t_ev in zip(found, sol.t_events):
                 seen += map(float, t_ev)
             s_last, state = float(sol.t[-1]), sol.y[:, -1]
             pieces.append((s_last, sol.sol))
             if sol.status:
                 break
-            how = _dop853() if how is method else method
+            how = _radau() if how is _dop853() else _dop853()
         if sol is not None and sol.t_events[4].size and not found[0]:
-            # _both_ways hands the backward side the mirrored rhs.  Next
-            # to a pole the chart is not stiff, whatever the side's method.
-            tail = solve(_tail_chart(field, 1.0 if f is rhs else -1.0),
-                         None, (0.0, math.inf),
+            # Next to a pole the chart is not stiff.
+            tail = solve(_tail_chart(field, sign), (0.0, math.inf),
                          (state[0] + state[1], state[0] - state[1], state[2],
                           s_last),
                          _tail_events(field, blowup_threshold, span),
                          tail_atol, "DOP853")
+            if tail.status < 0:
+                raise SolverFailed("DOP853", tail.message,
+                                   sign * tail.y[3, -1])
             for seen, y_ev in zip(found, tail.y_events):
                 seen += [float(y[3]) for y in y_ev]
             s_last = span if tail.t_events[4].size else float(tail.y[3, -1])
@@ -629,10 +636,10 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
         if blowup and s_last > 0:
             # Resolve the divergence for curvature-limit detection; offsets
             # are absolute (pole width is O(1/|state|)) but stay above the
-            # float spacing of s_last.
+            # float spacing of s_last; any that fall past s = 0 are dropped.
             base = max(1e-9, 64.0 * np.finfo(float).eps * s_last)
             near = s_last - base * np.array([100.0, 10.0, 1.0])
-            ts = np.unique(np.concatenate([ts, near, [s_last]]))
+            ts = np.unique(np.concatenate([ts, near[near > 0.0], [s_last]]))
         if s_last <= 0:
             samples = np.array(u0, float)[:, None]
         else:

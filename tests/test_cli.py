@@ -129,10 +129,31 @@ class TestSelfsimCommand:
         assert not out.exists()
 
     def test_unknown_method_refused(self, capsys):
+        # Measured stiffness picks the solver; there is no --method.
         with pytest.raises(SystemExit) as exc:
-            run(["selfsim", "--a", "0", "--b", "1", "--method", "foo"])
+            run(["selfsim", "--a", "0", "--b", "1", "--method", "Radau"])
         assert exc.value.code == 2
-        assert "invalid choice: 'foo'" in capsys.readouterr().err
+        assert "unrecognized arguments: --method Radau" \
+            in capsys.readouterr().err
+
+    # Radau's first step size underflows to 0 at a = 1e200; DOP853 finds
+    # no step at all at a = 1e308 in (k, l), where the blow-up threshold
+    # does not bound a.
+    @pytest.mark.parametrize("argv, words", [
+        (["classify", "--a", "1e200", "--s-max", "1"],
+         "LapackRadau failed at s=5.4841286688378366e-321: array must not "
+         "contain infs or NaNs"),
+        (["selfsim", "--chart", "kl", "--a", "1e308", "--s-max", "8"],
+         "StiffnessDOP853 failed at s=0: Required step size is less than "
+         "spacing between numbers.")])
+    def test_solver_failure_exits_3(self, tmp_path, capsys, argv, words):
+        out = tmp_path / "run"
+        code = run([*argv, "--b", "1", "--init", "0,-0.5", "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"SolverFailed: {words}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestEvolveCommand:
@@ -667,6 +688,13 @@ class TestConfigFile:
             assert code == 2
             assert f"--config key {key!r} is not an option of classify" \
                 in capsys.readouterr().err
+
+    def test_method_key_refused(self, tmp_path, capsys):
+        code = self.run_config(tmp_path, {"method": "Radau"},
+                               ["selfsim", "--a", "0", "--b", "1"])
+        assert code == 2
+        assert "--config key 'method' is not an option of selfsim" \
+            in capsys.readouterr().err
 
     def test_bad_value(self, tmp_path, capsys):
         argv = ["evolve", "hyperbola-expander", "--t0", "0.5", "--t1", "0.6",

@@ -11,7 +11,8 @@ from minkflow import geometry as geo
 from minkflow import selfsim as ss
 from minkflow.errors import (BranchContainsRoot, Inconclusive, InvalidParams,
                              NoInvariantKnown, NonFiniteCurve,
-                             QuadratureFailed, TimeLikeBranch)
+                             QuadratureFailed, SolverFailed,
+                             TimeLikeBranch)
 from minkflow.hyperbolic import HyperbolicNumber as HN
 from minkflow.selfsim import Chart, SolitonParams, motion_law
 
@@ -210,6 +211,26 @@ class TestIntegratePhase:
         assert traj.events["blowups"] == [-0.00022215117881894868]
         assert traj.s[-1] == 1.0
 
+    def test_pole_next_to_start_sampled_inside_side(self):
+        # The backward side blows up closer to s = 0 than the 1e-7 offsets
+        # of the near-pole samples, which used to fall past s = 0: the
+        # first dense piece extrapolated there, to tau ~ 1e273 at a = 1e50.
+        traj = ss.integrate_phase(SolitonParams(1e12, 1.0), Chart.TAU_NU,
+                                  (0.0, -0.5), s_max=1.0)
+        assert traj.events["blowups"] == [-5.445346241658038e-11]
+        assert np.all(np.diff(traj.s) > 0.0)
+        assert np.max(np.abs(traj.tau)) <= 1.01 * ss.BLOWUP_THRESHOLD
+
+    def test_solver_failure_raised(self):
+        # Radau's first step size underflows to 0 on the backward side, so
+        # the s it names lies below 0.
+        with pytest.raises(SolverFailed, match=r"^LapackRadau failed at "
+                           r"s=-5\.4841286688378366e-321: array must not "
+                           r"contain infs or NaNs$") as exc:
+            ss.integrate_phase(SolitonParams(1e200, 1.0), Chart.TAU_NU,
+                               (0.0, -0.5), s_max=(1.0, 0.0))
+        assert exc.value.s == -5.4841286688378366e-321
+
 
 # Blow-up parameters of the forward side, recorded when every step was
 # taken in s (before the tail continuation existed).
@@ -333,9 +354,24 @@ class TestArclengthTail:
         runs = self.solves(monkeypatch)
         (p, chart, init, s_max, kw), _ = BLOWUP_RUNS["contraction"]
         ss.integrate_phase(p, chart, init, s_max=s_max, **kw)
-        assert [run[0] for run in runs] == ["DOP853"] * 4
+        assert [run[0] for run in runs] == ["StiffnessDOP853", "DOP853"] * 2
         for tail in runs[1::2]:
             assert tail[1] <= 80
+
+    def test_tail_failure_raised(self, monkeypatch):
+        # A tail whose field turns NaN one unit of log radius in stops
+        # DOP853 short of the pole; the side used to end there unresolved.
+        chart = ss._tail_chart
+
+        def broken(field, sign):
+            rhs = chart(field, sign)
+            return lambda r, V: (math.nan,) * 4 if r > 1.0 else rhs(r, V)
+        monkeypatch.setattr(ss, "_tail_chart", broken)
+        (p, chart_, init, s_max, kw), _ = BLOWUP_RUNS["contraction"]
+        with pytest.raises(SolverFailed, match=r"^DOP853 failed at s=1\.255"
+                           r"\d*: Required step size is less than spacing "
+                           r"between numbers\.$"):
+            ss.integrate_phase(p, chart_, init, s_max=s_max, **kw)
 
     def test_slow_manifold_never_switches(self, monkeypatch):
         # Radau along a slow manifold: max |u_i| passes SWITCH_RADIUS near
@@ -387,11 +423,11 @@ class TestArclengthTail:
 
     def test_tail_adds_no_crossing(self, monkeypatch):
         # Radau at the default tolerance on a non-stiff blow-up (the
-        # backward side of `selfsim --a 1 --b 0 --init 0,0.5 --method
-        # Radau`); the crossing was recorded when every step was taken in
-        # s.  A tail carried in (u0, u1) cannot hold u0 - u1 ~ 1/|u| next
-        # to |u| ~ 1e8 and listed a spurious eta crossing 3e-8 before the
-        # pole.
+        # backward side of `selfsim --a 1 --b 0 --init 0,0.5` with
+        # method="Radau"); the crossing was recorded when every step was
+        # taken in s.  A tail carried in (u0, u1) cannot hold
+        # u0 - u1 ~ 1/|u| next to |u| ~ 1e8 and listed a spurious eta
+        # crossing 3e-8 before the pole.
         calls = self.counted(monkeypatch)
         traj = ss.integrate_phase(SolitonParams(1.0, 0.0), Chart.TAU_NU,
                                   (0.0, 0.5), s_max=(20.0, 0.0),
@@ -472,8 +508,9 @@ class TestArclengthTail:
 
 
 class TestStiffHandoff:
-    """A "Radau" side goes on with DOP853 once its steps stop being stiff,
-    and goes back to Radau when they are stiff again."""
+    """A side goes on with DOP853 once its Radau steps stop being stiff,
+    and with Radau after NSTIFF stiff DOP853 steps in a row, whichever
+    solver it started with."""
 
     @staticmethod
     def radau_only(*args, **kw):
@@ -498,6 +535,44 @@ class TestStiffHandoff:
         assert "StiffnessDOP853" in [run[0] for run in runs]
         assert sum(run[2] for run in runs) <= 1.25 * nfev
         _assert_same_events(traj, self.radau_only(*args, **kw))
+
+    # DOP853 alone is stiff on both: at a = 1e8 it did not reach s = 1
+    # within 20 s, and at a = 0 it took 4,082 steps a side to s = 100, its
+    # steps shrinking like 1/s.  With the handoff the forward sides took 6
+    # DOP853 and 20 Radau steps, and 3,404 and 26.
+    @pytest.mark.parametrize("p, s_max, bounds", [
+        (SolitonParams(1e8, 1.0), 1.0,
+         [("StiffnessDOP853", 8), ("LapackRadau", 25),
+          ("StiffnessDOP853", 166), ("DOP853", 88)]),
+        (SolitonParams(0.0, 1.0), 1000.0,
+         [("StiffnessDOP853", 4255), ("LapackRadau", 33)] * 2)])
+    def test_explicit_side_hands_off(self, p, s_max, bounds, monkeypatch):
+        runs = TestArclengthTail.solves(monkeypatch)
+        traj = ss.integrate_phase(p, Chart.TAU_NU, (0.0, -0.5), s_max=s_max)
+        assert traj.s[-1] == s_max
+        assert [run[0] for run in runs] == [name for name, _ in bounds]
+        for run, (_, most) in zip(runs, bounds):
+            assert run[1] <= most
+
+    # Eigenvalues -5 and 3, 2 and 3, -1 +- 2i and 1 +- 2i.
+    @pytest.mark.parametrize("block, rate", [
+        ([[-5.0, 0.0], [0.0, 3.0]], 5.0), ([[2.0, 0.0], [0.0, 3.0]], 0.0),
+        ([[-1.0, -2.0], [2.0, -1.0]], math.sqrt(5.0)),
+        ([[1.0, -2.0], [2.0, 1.0]], 0.0)])
+    def test_only_decaying_modes_are_stiff(self, block, rate):
+        J = [[*row, 0.0] for row in block] + [[0.0, 0.0, 0.0]]
+        assert ss._fast_rate(J) == pytest.approx(rate, rel=1e-15)
+
+    def test_growing_mode_stays_explicit(self, monkeypatch):
+        # nu grows like e^{s^2/2} from far below its atol floor, so DOP853's
+        # steps pass h tau = 1, tau the growing eigenvalue.  Counted as
+        # stiff, it sent both sides to Radau for 42,234 and 32,877 steps
+        # (12 s); DOP853 alone takes 888 and 698.
+        runs = TestArclengthTail.solves(monkeypatch)
+        ss.integrate_phase(SolitonParams(0.0, -1.0), Chart.TAU_NU,
+                           (1.0, 1e-300), blowup_threshold=1e6)
+        assert [run[:2] for run in runs] == [("StiffnessDOP853", 888),
+                                             ("StiffnessDOP853", 698)]
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 64), st.floats(0.1, 2.0), st.booleans(),
