@@ -288,12 +288,16 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise InvalidParams(f"catalog list takes no NAME: {args.name!r}")
         for name in catalog.names():
             e = catalog.get(name)
             print(f"{name:<20} {e.plane.value:<10} {e.kind.value:<16} "
                   f"t in ({e.t_domain[0]:g}, {e.t_domain[1]:g})")
         return EXIT_OK
     if args.action == "show":
+        if args.name is None:
+            raise InvalidParams("catalog show needs a NAME (catalog list)")
         e = catalog.get(args.name)
         info = {"name": e.name, "plane": e.plane.value, "kind": e.kind.value,
                 "t_domain": [e.t_domain[0], e.t_domain[1]],
@@ -306,11 +310,14 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
     if args.action == "lengths":
         _count("--points", args.points)
-        labels = (list(catalog.LENGTH_SERIES) if args.all or not args.name
-                  else [lb for lb, (nm, _) in catalog.LENGTH_SERIES.items()
-                        if nm == args.name])
-        if not labels:
-            raise UnknownSolution(f"{args.name} has no finite-length series")
+        series_of = {nm: lb for lb, (nm, _) in catalog.LENGTH_SERIES.items()}
+        if args.all or not args.name:
+            labels = list(catalog.LENGTH_SERIES)
+        elif catalog.get(args.name).name in series_of:
+            labels = [series_of[args.name]]
+        else:
+            raise InvalidParams(f"{args.name} has no finite-length series; "
+                                f"those with one: {', '.join(series_of)}")
         rows = ["series,name,t,length"]
         for lb in labels:
             name, _ = catalog.LENGTH_SERIES[lb]

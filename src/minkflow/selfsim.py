@@ -37,8 +37,8 @@ RTOL, ATOL = 1e-12, 1e-14
 SWITCH_RADIUS = 100.0
 # A solver step h is stiff when h |lambda_fast| reaches this, with
 # lambda_fast the fast decaying eigenvalue of the phase Jacobian
-# (``_fast_rate``).  A phase side in s goes to Radau after NSTIFF stiff
-# DOP853 steps in a row, and back when its Radau steps stop being stiff.
+# (``_fast_rate``).  A phase side in s goes to the other solver after
+# NSTIFF steps in a row that are stiff on DOP853 or not stiff on Radau.
 STIFF_STEP = 1.0
 NSTIFF = 3
 
@@ -419,42 +419,49 @@ def _fast_rate(J) -> float:
     return math.sqrt(det) if half < 0.0 else 0.0
 
 
-@functools.cache
-def _radau():
-    """scipy's Radau, with its 3x3 factorisations and solves calling
-    LAPACK's getrf and getrs directly; every step is the same as scipy's
-    up to the handoff.
-
-    ``lu_factor`` and ``lu_solve`` spend most of their time on input
-    checks and array wrapping, about a third of a stiff phase run.  A
-    non-finite matrix is still refused, as ``lu_factor`` refuses it.
-
-    The handoff: the run ends at the first step that is not stiff after
-    one that is, with h |lambda_fast| read off the Jacobian the step
-    already holds, so that ``integrate_phase`` can go on with
-    ``_dop853()``.  A run that is never stiff goes on to its end.
-
-    Built on first use, so importing this module imports no scipy.
-    """
-    from scipy.integrate import Radau
-    from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
-
-    class LapackRadau(Radau):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            # Radau binds its scipy.linalg pair to each instance.
-            self.lu, self.solve_lu = self._getrf, self._getrs
-            self.stiff = False
+def _handing_off(solver, stiff: bool):
+    """scipy's ``solver``, given the phase ``jac``, ending its run after
+    NSTIFF steps in a row whose verdict (stiff: h |lambda_fast| >=
+    STIFF_STEP, ``_fast_rate`` at the step's end) is not ``stiff``, so
+    that ``integrate_phase`` hands the rest to the other solver: the
+    NSTIFF test of Hairer's dop853.f, both ways.  Every step is the same
+    as scipy's up to there."""
+    class HandingOff(solver):
+        def __init__(self, fun, t0, y0, t_bound, jac, **kw):
+            # Radau steps with jac; DOP853 would warn that it takes none.
+            super().__init__(fun, t0, y0, t_bound, **kw,
+                             **({"jac": jac} if stiff else {}))
+            self.phase_jac, self.strays = jac, 0
 
         def _step_impl(self):
             t = self.t
             ok, message = super()._step_impl()
             if ok:
-                stiff = abs(self.t - t) * _fast_rate(self.J) >= STIFF_STEP
-                if self.stiff and not stiff:
+                rate = _fast_rate(self.phase_jac(self.t, self.y))
+                own = (abs(self.t - t) * rate >= STIFF_STEP) == stiff
+                self.strays = 0 if own else self.strays + 1
+                if self.strays == NSTIFF:
                     self.t_bound = self.t
-                self.stiff = stiff
             return ok, message
+    return HandingOff
+
+
+@functools.cache
+def _radau():
+    """``_handing_off`` Radau, with its 3x3 factorisations and solves
+    calling LAPACK's getrf and getrs directly: ``lu_factor`` and
+    ``lu_solve`` spend most of their time on input checks and array
+    wrapping, about a third of a stiff phase run.  A non-finite matrix is
+    still refused, as ``lu_factor`` refuses it.  Built on first use, so
+    importing this module imports no scipy."""
+    from scipy.integrate import Radau
+    from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
+
+    class LapackRadau(_handing_off(Radau, True)):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            # Radau binds its scipy.linalg pair to each instance.
+            self.lu, self.solve_lu = self._getrf, self._getrs
 
         def _getrf(self, A):
             self.nlu += 1
@@ -472,31 +479,9 @@ def _radau():
 
 @functools.cache
 def _dop853():
-    """scipy's DOP853, given the ``jac`` of the system, that ends its run
-    after NSTIFF stiff steps in a row (the NSTIFF test of Hairer's
-    dop853.f), so that ``integrate_phase`` can hand the rest to
-    ``_radau()``.  Every step is the same as scipy's up to there.
-
-    Built on first use, so importing this module imports no scipy.
-    """
+    """``_handing_off`` DOP853, built on first use like ``_radau()``."""
     from scipy.integrate import DOP853
-
-    class StiffnessDOP853(DOP853):
-        def __init__(self, fun, t0, y0, t_bound, jac, **kw):
-            super().__init__(fun, t0, y0, t_bound, **kw)
-            self.phase_jac, self.stiff_steps = jac, 0
-
-        def _step_impl(self):
-            t = self.t
-            ok, message = super()._step_impl()
-            if ok:
-                rate = _fast_rate(self.phase_jac(self.t, self.y))
-                stiff = abs(self.t - t) * rate >= STIFF_STEP
-                self.stiff_steps = self.stiff_steps + 1 if stiff else 0
-                if self.stiff_steps == NSTIFF:
-                    self.t_bound = self.t
-            return ok, message
-    return StiffnessDOP853
+    return type("StiffnessDOP853", (_handing_off(DOP853, False),), {})
 
 
 def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
@@ -515,13 +500,12 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     or "Radau", names the solver each side starts with.
 
     A side switches solver as its stiffness changes, at the same
-    tolerances and events: a step h is stiff when h |lambda_fast| reaches
-    STIFF_STEP (``_fast_rate``).  ``_dop853()`` hands the side to
-    ``_radau()`` after NSTIFF stiff steps in a row, and ``_radau()`` hands
-    it back at its first step that is not stiff after one that is; a side
-    that is never stiff keeps its first solver.  Samples come from
-    whichever solver covers each s, and the events of all of them are
-    kept.  A failed solver raises SolverFailed (solver, message, last s).
+    tolerances and events: each hands the side over after NSTIFF steps in
+    a row that are stiff on DOP853, or not stiff on Radau
+    (``_handing_off``), so ``method`` decides at most NSTIFF steps.
+    Samples come from whichever solver covers each s, and the events of
+    all of them are kept.  A failed solver raises SolverFailed (solver,
+    message, last s).
 
     A side whose state climbs through |state| = SWITCH_RADIUS at a pole
     continues from there, with DOP853 whatever ``method`` is, at the same
@@ -593,10 +577,9 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     def side(f, j, span):
         """Samples, events and end of one side, out to |s| = span."""
         sign = 1.0 if f is rhs else -1.0  # backward: the mirrored rhs
-        # Solver pieces in s, each kept as (last s, dense solution): a
-        # side alternates DOP853 and Radau pieces as its stiffness
-        # changes, and each piece ends itself where it hands over.  An
-        # empty side reports no events, not the ones sitting at s = 0.
+        # Solver pieces in s, kept as (last s, dense solution); each ends
+        # itself where it hands the side to the other solver.  An empty
+        # side reports no events, not the ones sitting at s = 0.
         pieces, found = [], [[], [], [], []]
         s_last, state, how, sol = 0.0, u0, first, None
         while s_last < span:
@@ -735,6 +718,8 @@ def integrate_graph(p: SolitonParams, y0: float, yp0: float,
     1 - SLOPE_TOL the integration stops and the approach is logged as a
     light-like asymptote event.
     """
+    if not all(map(math.isfinite, (y0, yp0))):
+        raise InvalidParams(f"initial values must be finite: {y0=}, {yp0=}")
     if abs(yp0) >= 1.0:
         raise InvalidParams("initial slope must satisfy |y'| < 1")
     if not 0.0 <= x_max < math.inf:
@@ -780,6 +765,8 @@ def integrate_lightcone(p: SolitonParams, xi0: float, xip0: float,
     in the diagonal view.  xi' > 0 is maintained; blow-up at finite eta
     is recorded as an event.
     """
+    if not all(map(math.isfinite, (xi0, xip0))):
+        raise InvalidParams(f"initial values must be finite: {xi0=}, {xip0=}")
     if xip0 <= 0.0:
         raise InvalidParams("initial xi' must be positive (space-like)")
     lo, hi = eta_span
@@ -1065,16 +1052,21 @@ def _denominator(A: float):
 
 
 def screw_roots(A: float) -> list[float]:
+    """The roots 1 + W_k(-A/e) of D in increasing order: one for A <= 0,
+    two for 0 < A < 1, the double root 0 at A = 1, none above.  brentq
+    finds each in closed-form bounds, the left one on ln A - u - ln(1 - u),
+    of D's sign for u < ln A and finite where A e^{-u} overflows."""
     from scipy.optimize import brentq
+    if not math.isfinite(A):
+        raise InvalidParams(f"A must be finite, got {A}")
+    if A >= 1.0:
+        return [0.0] if A == 1.0 else []
     D = _denominator(A)
-    if A == 1.0:
-        return [0.0]  # double root
-    grid = np.linspace(-40.0, 40.0, 8001)
-    vals = D(grid)
-    roots = [float(g) for g in grid[vals == 0.0]]
-    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0):
-        roots.append(float(brentq(D, grid[i], grid[i + 1], xtol=1e-14)))
-    return sorted(roots)
+    if A <= 0.0:  # D rises from A / e at 1
+        return [brentq(D, 1.0, 1.0 + math.log1p(-A), xtol=1e-14)]
+    ln_a = math.log(A)  # min D = D(ln A) = ln A; D(0) < 0 < D(1)
+    return [brentq(lambda u: ln_a - u - math.log1p(-u), 2.0 * ln_a - 2.0,
+                   ln_a, xtol=1e-14), brentq(D, 0.0, 1.0, xtol=1e-14)]
 
 
 def screw_branches(A: float) -> list[dict]:
@@ -1087,11 +1079,11 @@ def screw_branches(A: float) -> list[dict]:
     D = _denominator(A)
     out = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = (max(lo, -50.0) + min(hi, 50.0)) / 2.0
-        if A == 1.0 and lo == -math.inf:
-            mid = -1.0
-        out.append({"interval": (lo, hi),
-                    "spacelike": bool(D(mid) > 0.0)})
+        mid = (0.5 * (lo + hi) if math.isfinite(lo + hi)
+               else min(max(0.0, lo + 1.0), hi - 1.0))
+        with np.errstate(over="ignore"):  # D is +inf left of u ~ -709
+            out.append({"interval": (lo, hi),
+                        "spacelike": bool(D(mid) > 0.0)})
     return out
 
 

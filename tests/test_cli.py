@@ -402,6 +402,24 @@ class TestCatalogCommand:
     def test_unknown_name_exit_code(self, capsys):
         assert run(["catalog", "show", "nope"]) == 4
 
+    @pytest.mark.parametrize("argv, words", [
+        (["show"], "catalog show needs a NAME (catalog list)"),
+        (["list", "translator-y"], "catalog list takes no NAME: 'translator-y'"),
+        (["lengths", "translator-x"],
+         "translator-x has no finite-length series; those with one: "
+         "translator-y, screw-tanh, wave-sinhsinh, wave-coshsinh, "
+         "oval-coshcosh, interp-tan")])
+    def test_name_checked_per_action(self, capsys, argv, words):
+        assert run(["catalog", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"InvalidParams: {words}\n"
+        assert captured.out == ""
+
+    def test_lengths_unknown_name_exit_code(self, capsys):
+        assert run(["catalog", "lengths", "no-such"]) == 4
+        assert capsys.readouterr().err.startswith(
+            "UnknownSolution: 'no-such' is not in the registry; known names: ")
+
     def test_show_expressions(self, capsys):
         shown = {}
         for name in SHOWN_FORMS:

@@ -254,7 +254,7 @@ BLOWUP_RUNS = {
         1.2586883293483402),
 }
 # Steps of the Radau creep of each stiff run along the slow manifold up to
-# the switch, with the handoff to DOP853 off (STIFF_STEP = inf).
+# the switch, with both handoffs off (NSTIFF = inf).
 RADAU_ONLY_STEPS = {"rotation trapped": 2583, "screw beta>1 trapped": 2759}
 
 
@@ -508,15 +508,15 @@ class TestArclengthTail:
 
 
 class TestStiffHandoff:
-    """A side goes on with DOP853 once its Radau steps stop being stiff,
-    and with Radau after NSTIFF stiff DOP853 steps in a row, whichever
-    solver it started with."""
+    """A side goes on with DOP853 after NSTIFF Radau steps in a row that
+    are not stiff, and with Radau after NSTIFF stiff DOP853 steps in a
+    row, whichever solver it started with."""
 
     @staticmethod
     def radau_only(*args, **kw):
-        """The same run with the handoff off."""
+        """The same run with both handoffs off."""
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ss, "STIFF_STEP", math.inf)
+            mp.setattr(ss, "NSTIFF", math.inf)
             return ss.integrate_phase(*args, **kw)
 
     # The backward side hands off at s ~ -15 and then creeps along a
@@ -536,16 +536,40 @@ class TestStiffHandoff:
         assert sum(run[2] for run in runs) <= 1.25 * nfev
         _assert_same_events(traj, self.radau_only(*args, **kw))
 
+    def test_radau_side_never_stiff_hands_off(self, monkeypatch):
+        # a = 0: nu decays like e^{-b s^2/2} under relative error control,
+        # and the forward side is never stiff.  A Radau side that handed
+        # off only after a stiff step took 51,695 steps there (9.7 s),
+        # where DOP853 takes 1,958.  From s ~ 16 |nu| is under
+        # RELATIVE_FLOOR / RTOL and keeps no relative precision, so the
+        # inflections there are rounding noise that moves with the steps
+        # (20.3 and 38.5 from the Radau start, 23.4 from the DOP853 one);
+        # ``_above_floor`` leaves them out.
+        p = SolitonParams(0.0, 1.0486279386362185)
+        init = tuple(map(float, ss.taunu_from_kl(p, 0.84375, -30.1875)))
+        kw = {"s_max": 40.0, "rtol": 1e-10, "atol": 1e-12,
+              "blowup_threshold": 1e6}
+        runs = TestArclengthTail.solves(monkeypatch)
+        traj = ss.integrate_phase(p, Chart.TAU_NU, init, method="Radau",
+                                  **kw)
+        assert sum(run[1] for run in runs) <= 2500
+        ref = ss.integrate_phase(p, Chart.TAU_NU, init, **kw)
+        _assert_same_events(_above_floor(traj), _above_floor(ref))
+
     # DOP853 alone is stiff on both: at a = 1e8 it did not reach s = 1
     # within 20 s, and at a = 0 it took 4,082 steps a side to s = 100, its
-    # steps shrinking like 1/s.  With the handoff the forward sides took 6
-    # DOP853 and 20 Radau steps, and 3,404 and 26.
+    # steps shrinking like 1/s.  With the handoff the forward sides take
+    # 6 DOP853, 3 Radau, 3 DOP853 and 7 Radau steps, and 3,404, 3, 3 and
+    # 17.  The bounce after each DOP853 -> Radau handoff: Radau restarts
+    # with steps too small to be stiff while the fast mode settles, and
+    # DOP853 hands the side back after NSTIFF stiff steps.
     @pytest.mark.parametrize("p, s_max, bounds", [
         (SolitonParams(1e8, 1.0), 1.0,
-         [("StiffnessDOP853", 8), ("LapackRadau", 25),
-          ("StiffnessDOP853", 166), ("DOP853", 88)]),
+         [("StiffnessDOP853", 8), ("LapackRadau", 4), ("StiffnessDOP853", 4),
+          ("LapackRadau", 9), ("StiffnessDOP853", 166), ("DOP853", 88)]),
         (SolitonParams(0.0, 1.0), 1000.0,
-         [("StiffnessDOP853", 4255), ("LapackRadau", 33)] * 2)])
+         [("StiffnessDOP853", 4255), ("LapackRadau", 4),
+          ("StiffnessDOP853", 4), ("LapackRadau", 22)] * 2)])
     def test_explicit_side_hands_off(self, p, s_max, bounds, monkeypatch):
         runs = TestArclengthTail.solves(monkeypatch)
         traj = ss.integrate_phase(p, Chart.TAU_NU, (0.0, -0.5), s_max=s_max)
@@ -606,6 +630,15 @@ def _assert_same_events(traj, ref):
         [c["axis"] for c in ref.events["crossings"]]
     assert [c["s"] for c in traj.events["crossings"]] == pytest.approx(
         [c["s"] for c in ref.events["crossings"]], rel=1e-9)
+
+
+def _above_floor(traj):
+    """``traj`` without the inflections from the first node on where |nu|
+    is under RELATIVE_FLOOR / RTOL, the cut of ``conserved_drift``."""
+    s_floor = traj.s[np.abs(traj.nu) < ss.RELATIVE_FLOOR / ss.RTOL][0]
+    events = dict(traj.events, inflections=[
+        s for s in traj.events["inflections"] if s < s_floor])
+    return dataclasses.replace(traj, events=events)
 
 
 def _report(p, traj):
@@ -669,8 +702,8 @@ class TestLapackRadau:
 
     @pytest.mark.parametrize("name", sorted(RADAU_ONLY_STEPS))
     def test_radau_only_same_steps_as_scipy(self, name, monkeypatch):
-        # With the handoff off, both run on to the switch.
-        monkeypatch.setattr(ss, "STIFF_STEP", math.inf)
+        # With both handoffs off, both run on to the switch.
+        monkeypatch.setattr(ss, "NSTIFF", math.inf)
         ours, scipys = self.runs(name)
         assert ours.status == 1 and len(ours.t) - 1 == RADAU_ONLY_STEPS[name]
         self.assert_same(ours, scipys)
@@ -758,6 +791,14 @@ class TestGraphRoute:
         with pytest.raises(InvalidParams, match=f"x_max.*{x_max}"):
             ss.integrate_graph(SolitonParams(0.0, 1.0), 1.0, 0.0, x_max)
 
+    # A NaN slope passed the |y'| < 1 check and reached scipy's refusal.
+    @pytest.mark.parametrize("y0, yp0", [(math.nan, 0.0), (math.inf, 0.0),
+                                         (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_initial_values_refused(self, y0, yp0):
+        with pytest.raises(InvalidParams, match=re.escape(
+                f"initial values must be finite: y0={y0}, yp0={yp0}")):
+            ss.integrate_graph(SolitonParams(0.0, 1.0), y0, yp0, 5.0)
+
     def test_light_like_asymptote_event(self):
         p = SolitonParams(0.0, -1.0)
         c = ss.integrate_graph(p, -1.0, 0.0, 40.0)
@@ -798,6 +839,15 @@ class TestLightconeRoute:
                 f"eta_span must be finite, got {eta_span}")):
             ss.integrate_lightcone(SolitonParams(1.0, 0.0), 0.0, 1.0,
                                    eta_span)
+
+    # A NaN xi' passed the xi' > 0 check and reached scipy's refusal.
+    @pytest.mark.parametrize("xi0, xip0", [(math.nan, 1.0), (-math.inf, 1.0),
+                                           (0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_initial_values_refused(self, xi0, xip0):
+        with pytest.raises(InvalidParams, match=re.escape(
+                f"initial values must be finite: xi0={xi0}, xip0={xip0}")):
+            ss.integrate_lightcone(SolitonParams(1.0, 0.0), xi0, xip0,
+                                   (-1.0, 1.0))
 
     def test_tanh_solution(self):
         p = SolitonParams(-1.0, -1.0)
@@ -1010,6 +1060,14 @@ class TestClassify:
             ss.classify(p, traj)  # nu has not decayed to the zero band yet
 
 
+def _lambert_root(A, k):
+    """The root 1 + W_k(-A/e) of D at 30 digits: -A/e underflows in
+    float64 for the smallest A."""
+    import mpmath
+    with mpmath.workdps(30):
+        return float(1 + mpmath.lambertw(-mpmath.mpf(A) / mpmath.e, k).real)
+
+
 class TestScrewTranslateCurve:
     def test_a0_exponential(self):
         c = ss.screw_translate_curve(0.0, branch=-1, xi_span=(1.2, 6.0),
@@ -1048,6 +1106,46 @@ class TestScrewTranslateCurve:
         assert ss.screw_roots(1.5) == []
         branches = ss.screw_branches(0.5)
         assert [b["spacelike"] for b in branches] == [True, False, True]
+
+    # A fixed grid on [-40, 40] lost the left root of A = 1e-17 and the
+    # root of A = -1e20.
+    @pytest.mark.parametrize("A", [-1e20, -1.0, -5e-324, 0.0])
+    def test_one_root_up_to_zero(self, A):
+        roots = ss.screw_roots(A)
+        assert roots == pytest.approx([_lambert_root(A, 0)], rel=1e-14)
+        assert [b["spacelike"] for b in ss.screw_branches(A)] == [False,
+                                                                  True]
+        c = ss.screw_translate_curve(A)
+        assert c.xi[0] > roots[0] and np.all(np.diff(c.xi) > 0.0)
+
+    @pytest.mark.parametrize("A", [5e-324, 1e-300, 1e-17, 0.5, 0.9])
+    def test_two_roots_below_one(self, A):
+        roots = ss.screw_roots(A)
+        assert roots == pytest.approx(
+            [_lambert_root(A, k) for k in (-1, 0)], rel=1e-14)
+        assert roots[0] < math.log(A) < roots[1]
+        assert [b["spacelike"] for b in ss.screw_branches(A)] == [True,
+                                                                  False,
+                                                                  True]
+
+    def test_roots_next_to_the_double_root(self):
+        # D ~ u^2 / 2 - (1 - A) about u = 0; W alone gives -3.0e-12 for
+        # the left root.
+        assert ss.screw_roots(1.0 - 1e-12) == pytest.approx(
+            [-math.sqrt(2e-12), math.sqrt(2e-12)], rel=1e-4)
+
+    def test_left_branch_of_tiny_A(self):
+        c = ss.screw_translate_curve(1e-17, branch=0)
+        lo, hi = c.events["screw_translate"]["branch_interval"]
+        assert lo == -math.inf and hi == pytest.approx(-42.926463533331656,
+                                                       rel=1e-14)
+        assert c.xi[-1] < hi
+
+    @pytest.mark.parametrize("A", [math.nan, math.inf, -math.inf])
+    def test_non_finite_A_refused(self, A):
+        with pytest.raises(InvalidParams, match=f"^A must be finite, got "
+                           f"{A}$"):
+            ss.screw_translate_curve(A)
 
     def test_double_root_two_branches(self):
         branches = [b for b in ss.screw_branches(1.0) if b["spacelike"]]
