@@ -16,13 +16,13 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import catalog, flow, geometry, invariants, selfsim, svg
 from .errors import InvalidParams, MinkflowError, UnknownSolution
 from .flow import Dirichlet, FlowGrid, FlowKind
+from .geometry import _atomic_write
 from .selfsim import Chart, SolitonParams
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_UNKNOWN = 0, 2, 3, 4
@@ -33,19 +33,6 @@ _ALLOWED_FUNCS = dict.fromkeys(
     ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "sqrt", "asin",
      "acos", "atan", "asinh", "acosh", "atanh", "coth", "Abs"), (1,))
 _ALLOWED_FUNCS["log"] = (1, 2)
-
-
-def _atomic_write(path: str, data: str):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".minkflow-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _json_dumps(obj) -> str:
@@ -268,6 +255,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.all and args.names:
+        raise InvalidParams("pass --all or --names, not both")
     names = catalog.names() if args.all else (args.names or "").split(",")
     names = [n for n in names if n]
     if not names:
@@ -287,6 +276,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    if args.all and args.action != "lengths":
+        raise InvalidParams(f"catalog {args.action} takes no --all")
     if args.action == "list":
         if args.name is not None:
             raise InvalidParams(f"catalog list takes no NAME: {args.name!r}")
@@ -308,31 +299,31 @@ def cmd_catalog(args) -> int:
                 "wick_partner": e.wick_partner}
         sys.stdout.write(_json_dumps(info))
         return EXIT_OK
-    if args.action == "lengths":
-        _count("--points", args.points)
-        series_of = {nm: lb for lb, (nm, _) in catalog.LENGTH_SERIES.items()}
-        if args.all or not args.name:
-            labels = list(catalog.LENGTH_SERIES)
-        elif catalog.get(args.name).name in series_of:
-            labels = [series_of[args.name]]
-        else:
-            raise InvalidParams(f"{args.name} has no finite-length series; "
-                                f"those with one: {', '.join(series_of)}")
-        rows = ["series,name,t,length"]
-        for lb in labels:
-            name, _ = catalog.LENGTH_SERIES[lb]
-            lo, hi = catalog.LENGTH_GRIDS[lb]
-            series = catalog.length_vs_time(
-                name, np.linspace(lo, hi, args.points))
-            rows += [f"{lb},{name},{t:.17g},{val:.17g}" for t, val in series]
-        text = "\n".join(rows) + "\n"
-        if args.out:
-            _atomic_write(os.path.join(args.out, "lengths.csv"), text)
-            print(f"wrote {os.path.join(args.out, 'lengths.csv')}")
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    raise InvalidParams(f"unknown catalog action {args.action}")
+    _count("--points", args.points)  # the action is lengths
+    if args.all and args.name is not None:
+        raise InvalidParams(f"catalog lengths takes NAME or --all, not "
+                            f"both: {args.name!r}")
+    series_of = {nm: lb for lb, (nm, _) in catalog.LENGTH_SERIES.items()}
+    if not args.name:
+        labels = list(catalog.LENGTH_SERIES)
+    elif catalog.get(args.name).name in series_of:
+        labels = [series_of[args.name]]
+    else:
+        raise InvalidParams(f"{args.name} has no finite-length series; "
+                            f"those with one: {', '.join(series_of)}")
+    rows = ["series,name,t,length"]
+    for lb in labels:
+        name, _ = catalog.LENGTH_SERIES[lb]
+        lo, hi = catalog.LENGTH_GRIDS[lb]
+        series = catalog.length_vs_time(name, np.linspace(lo, hi, args.points))
+        rows += [f"{lb},{name},{t:.17g},{val:.17g}" for t, val in series]
+    text = "\n".join(rows) + "\n"
+    if args.out:
+        _atomic_write(os.path.join(args.out, "lengths.csv"), text)
+        print(f"wrote {os.path.join(args.out, 'lengths.csv')}")
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
 
 
 def cmd_invariant(args) -> int:
@@ -349,7 +340,6 @@ def cmd_invariant(args) -> int:
                                          params)
     curve = invariants.make_invariant_curve(spec, (lo, hi), n=args.n)
     if args.action == "make":
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"invariant-{args.kind}.csv")
         geometry.write_curve_csv(curve, path)
         print(f"wrote {path}")

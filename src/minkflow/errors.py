@@ -66,7 +66,7 @@ class QuadratureFailed(MinkflowError):
 
 
 class SolverFailed(MinkflowError):
-    """An ODE solver stopped short of its span with no event to stop it."""
+    """An ODE solver, or its event search, failed short of its span."""
 
     def __init__(self, solver, msg, s):
         super().__init__(f"{solver} failed at s={s:.17g}: {msg}")

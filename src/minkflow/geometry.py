@@ -16,6 +16,8 @@ discarded Minkowski length is below 1e-7.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -248,18 +250,25 @@ def reconstruct_positions(tau, nu, theta) -> np.ndarray:
 # CSV interchange
 
 
+def _atomic_write(path: str, data: str):
+    """Write ``path`` whole or not at all, making its directory."""
+    d = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".minkflow-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_curve_csv(curve: Curve, path):
-    rows = [CSV_HEADER]
-    xi, eta = curve.xi, curve.eta
-    for i in range(len(curve)):
-        rows.append(",".join(
-            f"{v:.17g}" for v in (
-                curve.s[i], curve.x[i], curve.y[i], xi[i], eta[i],
-                curve.theta[i], curve.k[i], curve.tau[i], curve.nu[i],
-            )
-        ))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    cols = [getattr(curve, name).tolist() for name in CSV_HEADER.split(",")]
+    row = ",".join(["%.17g"] * len(cols))
+    rows = [row % vals for vals in zip(*cols)]
+    _atomic_write(path, "\n".join([CSV_HEADER, *rows]) + "\n")
 
 
 def read_curve_csv(path) -> Curve:

@@ -419,45 +419,21 @@ def _fast_rate(J) -> float:
     return math.sqrt(det) if half < 0.0 else 0.0
 
 
-def _handing_off(solver, stiff: bool):
-    """scipy's ``solver``, given the phase ``jac``, ending its run after
-    NSTIFF steps in a row whose verdict (stiff: h |lambda_fast| >=
-    STIFF_STEP, ``_fast_rate`` at the step's end) is not ``stiff``, so
-    that ``integrate_phase`` hands the rest to the other solver: the
-    NSTIFF test of Hairer's dop853.f, both ways.  Every step is the same
-    as scipy's up to there."""
-    class HandingOff(solver):
-        def __init__(self, fun, t0, y0, t_bound, jac, **kw):
-            # Radau steps with jac; DOP853 would warn that it takes none.
-            super().__init__(fun, t0, y0, t_bound, **kw,
-                             **({"jac": jac} if stiff else {}))
-            self.phase_jac, self.strays = jac, 0
-
-        def _step_impl(self):
-            t = self.t
-            ok, message = super()._step_impl()
-            if ok:
-                rate = _fast_rate(self.phase_jac(self.t, self.y))
-                own = (abs(self.t - t) * rate >= STIFF_STEP) == stiff
-                self.strays = 0 if own else self.strays + 1
-                if self.strays == NSTIFF:
-                    self.t_bound = self.t
-            return ok, message
-    return HandingOff
-
-
 @functools.cache
-def _radau():
-    """``_handing_off`` Radau, with its 3x3 factorisations and solves
-    calling LAPACK's getrf and getrs directly: ``lu_factor`` and
-    ``lu_solve`` spend most of their time on input checks and array
-    wrapping, about a third of a stiff phase run.  A non-finite matrix is
-    still refused, as ``lu_factor`` refuses it.  Built on first use, so
-    importing this module imports no scipy."""
-    from scipy.integrate import Radau
+def _solvers():
+    """(LapackRadau, PhaseSolver), built on first use: importing this
+    module imports no scipy.  LapackRadau is scipy's Radau calling LAPACK
+    on its 3x3 systems directly, skipping the checks that cost a third of
+    a stiff phase run; it still refuses a non-finite matrix.  PhaseSolver
+    steps a phase side with DOP853 or LapackRadau (``stiff`` picks the
+    first) and switches them in place, as LSODA does: after NSTIFF steps
+    whose verdict (stiff: h |lambda_fast| >= STIFF_STEP at the step's end)
+    belongs to the other method, that one goes on from the same (t, y)
+    with the last step as its first.  It appends itself to ``made``."""
+    from scipy.integrate import DOP853, OdeSolver, Radau
     from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
-    class LapackRadau(_handing_off(Radau, True)):
+    class LapackRadau(Radau):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
             # Radau binds its scipy.linalg pair to each instance.
@@ -474,14 +450,50 @@ def _radau():
         def _getrs(LU, b):
             getrs = zgetrs if LU[0].dtype.kind == "c" else dgetrs
             return getrs(*LU, b, overwrite_b=True)[0]
-    return LapackRadau
 
+    class PhaseSolver(OdeSolver):
+        # Summed over the inner solvers when solve_ivp reads them.
+        nfev = property(lambda self: sum(s.nfev for s in self.inners))
+        njev = property(lambda self: sum(s.njev for s in self.inners))
+        nlu = property(lambda self: sum(s.nlu for s in self.inners))
 
-@functools.cache
-def _dop853():
-    """``_handing_off`` DOP853, built on first use like ``_radau()``."""
-    from scipy.integrate import DOP853
-    return type("StiffnessDOP853", (_handing_off(DOP853, False),), {})
+        def __init__(self, fun, t0, y0, t_bound, jac, stiff, made,
+                     **options):
+            made.append(self)
+            self.t, self.y, self.t_old, self.t_bound = t0, y0, None, t_bound
+            self.fun, self.jac, self.strays, self.inners = fun, jac, 0, []
+            # Radau steps with jac; DOP853 would warn that it takes none.
+            self.kw = {DOP853: options, LapackRadau: dict(options, jac=jac)}
+            inner = self._start(LapackRadau if stiff else DOP853)
+            self.y, self.n, self.direction = inner.y, inner.n, inner.direction
+            self.status = "running"
+
+        def _start(self, solver, h=None):
+            self.inners.append(solver(self.fun, self.t, self.y, self.t_bound,
+                                      first_step=h, **self.kw[solver]))
+            return self.inners[-1]
+
+        def _step_impl(self):
+            inner = self.inners[-1]
+            radau = isinstance(inner, LapackRadau)
+            if self.strays == NSTIFF:
+                h = min(inner.step_size, abs(self.t_bound - self.t))
+                inner = self._start(DOP853 if radau else LapackRadau, h)
+                radau, self.strays = not radau, 0
+            try:
+                if (message := inner.step()) is not None:  # a failed step
+                    return False, message
+            except ValueError as exc:  # LapackRadau's non-finite matrix
+                return False, str(exc)
+            rate = _fast_rate(self.jac(inner.t, inner.y))
+            own = (abs(inner.t - self.t) * rate >= STIFF_STEP) == radau
+            self.strays = 0 if own else self.strays + 1
+            self.t, self.y = inner.t, inner.y
+            return True, None
+
+        def dense_output(self):
+            return self.inners[-1].dense_output()
+    return LapackRadau, PhaseSolver
 
 
 def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
@@ -496,16 +508,11 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     the chart.  Integration runs until |state| exceeds the blow-up
     threshold (a recorded event, not an error) or |s| = s_max, which may
     be a scalar or a (backward, forward) pair.  Diagonal crossings and
-    curvature sign changes are recorded as events.  ``method``, "DOP853"
-    or "Radau", names the solver each side starts with.
-
-    A side switches solver as its stiffness changes, at the same
-    tolerances and events: each hands the side over after NSTIFF steps in
-    a row that are stiff on DOP853, or not stiff on Radau
-    (``_handing_off``), so ``method`` decides at most NSTIFF steps.
-    Samples come from whichever solver covers each s, and the events of
-    all of them are kept.  A failed solver raises SolverFailed (solver,
-    message, last s).
+    curvature sign changes are recorded as events.  Each side in s is one
+    run of ``_solvers``' PhaseSolver, which switches between DOP853 and
+    Radau in place as the stiffness changes; ``method``, "DOP853" or
+    "Radau", names the first and decides at most NSTIFF steps.  A failed
+    step or event search raises SolverFailed (solver, message, last s).
 
     A side whose state climbs through |state| = SWITCH_RADIUS at a pole
     continues from there, with DOP853 whatever ``method`` is, at the same
@@ -513,13 +520,13 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     diagonal components u0 +- u1, which keep the small one's relative
     precision, against log radius, in which the approach to the pole
     costs steps logarithmic in |state| rather than quadratic; next to a
-    pole that chart is not stiff.  The switch needs a phase
-    speed |(u0', u1')| of SWITCH_RADIUS too (``_switch``), about 1e4 at a
-    pole and O(1) on a slow manifold, so a side creeping along one past
+    pole that chart is not stiff.  The switch needs a phase speed
+    |(u0', u1')| of SWITCH_RADIUS too (``_switch``), about 1e4 at a pole
+    and O(1) on a slow manifold, so a side creeping along one past
     |state| = SWITCH_RADIUS stays in s.  Samples up to the switch come
-    from the solvers in s; later ones, and the event locations, are
-    mapped back to s through the s state the chart carries.  A blow-up
-    threshold at or below SWITCH_RADIUS never switches.  One above
+    from the run in s; later ones, and the event locations, are mapped
+    back to s through the s state the chart carries.  A blow-up threshold
+    at or below SWITCH_RADIUS never switches.  One above
     ``_max_threshold`` is refused: the tail's field would overflow before
     the state got there (6.7e153 in (tau, nu) for a = 0, b = -1; 6.7e152
     for b = -100).
@@ -535,8 +542,7 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     if not all(map(math.isfinite, init)):
         raise InvalidParams(f"initial state must be finite, got {tuple(init)}")
     if method not in ("DOP853", "Radau"):
-        raise InvalidParams(
-            f"method must be DOP853 or Radau, not {method!r}")
+        raise InvalidParams(f"method must be DOP853 or Radau, not {method!r}")
     theta0 = float(init[2]) if len(init) > 2 else 0.0
     u0 = (float(init[0]), float(init[1]), theta0)
     s_back, s_fwd = (s_max if isinstance(s_max, (tuple, list))
@@ -568,70 +574,63 @@ def integrate_phase(p: SolitonParams, chart: Chart = Chart.TAU_NU,
     rhs, jac = _phase_rhs(p, chart)
     events = _phase_events(p, chart, blowup_threshold)
     field = _diagonal_field(p, chart)
-    first = _radau() if method == "Radau" else _dop853()
-
-    def solve(f, span, state, evs, tol, how, **kw):
-        return solve_ivp(f, span, state, method=how, events=evs,
-                         rtol=rtol, atol=tol, dense_output=True, **kw)
 
     def side(f, j, span):
         """Samples, events and end of one side, out to |s| = span."""
         sign = 1.0 if f is rhs else -1.0  # backward: the mirrored rhs
-        # Solver pieces in s, kept as (last s, dense solution); each ends
-        # itself where it hands the side to the other solver.  An empty
-        # side reports no events, not the ones sitting at s = 0.
-        pieces, found = [], [[], [], [], []]
-        s_last, state, how, sol = 0.0, u0, first, None
-        while s_last < span:
+        # An empty side reports no events, not the ones at s = 0.
+        found, made, s_last, sol = [[], [], [], []], [], 0.0, None
+        if span > 0.0:
             # Past |a| ~ 1e5 a DOP853 trial stage can overflow the rhs (then
             # meet inf - inf); the solver rejects that step, so ignore both.
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    sol = solve(f, (s_last, span), state,
-                                events + [_switch(f)], atol, how, jac=j)
-            except ValueError as exc:  # _radau() refuses a non-finite matrix
-                raise SolverFailed(how.__name__, exc, sign * s_last) from None
+                    sol = solve_ivp(f, (0.0, span), u0, method=_solvers()[1],
+                                    events=events + [_switch(f)], rtol=rtol,
+                                    atol=atol, dense_output=True, jac=j,
+                                    stiff=method == "Radau", made=made)
+            except ValueError as exc:  # brentq: no sign change to locate
+                raise SolverFailed("event search", exc,
+                                   sign * made[0].t) from None
             if sol.status < 0:
-                raise SolverFailed(how.__name__, sol.message, sign * sol.t[-1])
+                raise SolverFailed(type(made[0].inners[-1]).__name__,
+                                   sol.message, sign * sol.t[-1])
             for seen, t_ev in zip(found, sol.t_events):
                 seen += map(float, t_ev)
-            s_last, state = float(sol.t[-1]), sol.y[:, -1]
-            pieces.append((s_last, sol.sol))
-            if sol.status:
-                break
-            how = _radau() if how is _dop853() else _dop853()
+            s_last = float(sol.t[-1])
         if sol is not None and sol.t_events[4].size and not found[0]:
             # Next to a pole the chart is not stiff.
-            tail = solve(_tail_chart(field, sign), (0.0, math.inf),
-                         (state[0] + state[1], state[0] - state[1], state[2],
-                          s_last),
-                         _tail_events(field, blowup_threshold, span),
-                         tail_atol, "DOP853")
+            u = sol.y[:, -1]
+            tail = solve_ivp(_tail_chart(field, sign), (0.0, math.inf),
+                             (u[0] + u[1], u[0] - u[1], u[2], s_last),
+                             method="DOP853", rtol=rtol, atol=tail_atol,
+                             events=_tail_events(field, blowup_threshold,
+                                                 span), dense_output=True)
             if tail.status < 0:
                 raise SolverFailed("DOP853", tail.message,
                                    sign * tail.y[3, -1])
             for seen, y_ev in zip(found, tail.y_events):
                 seen += [float(y[3]) for y in y_ev]
             s_last = span if tail.t_events[4].size else float(tail.y[3, -1])
-            pieces.append((s_last, functools.partial(_at_s, tail, field)))
         blowup, xi, eta, inflection = found
         ts = _sample_times(s_last, n_per_side)
         if blowup and s_last > 0:
             # Resolve the divergence for curvature-limit detection; offsets
             # are absolute (pole width is O(1/|state|)) but stay above the
-            # float spacing of s_last; any that fall past s = 0 are dropped.
-            base = max(1e-9, 64.0 * np.finfo(float).eps * s_last)
+            # float spacing of s_last, and scale with s_last below 1e-6 so
+            # that none falls past s = 0.
+            base = max(min(1e-9, 1e-3 * s_last),
+                       64.0 * np.finfo(float).eps * s_last)
             near = s_last - base * np.array([100.0, 10.0, 1.0])
-            ts = np.unique(np.concatenate([ts, near[near > 0.0], [s_last]]))
+            ts = np.unique(np.concatenate([ts, near, [s_last]]))
         if s_last <= 0:
             samples = np.array(u0, float)[:, None]
         else:
-            # Each s from the first piece that reaches it.
-            which = np.searchsorted([end for end, _ in pieces], ts)
-            samples = np.empty((3, len(ts)))
-            for i, (_, at_s) in enumerate(pieces):
-                if np.any(mine := which == i):
-                    samples[:, mine] = at_s(ts[mine])
+            # Each s up to the switch from the run in s, later from the tail.
+            late, samples = ts > sol.t[-1], np.empty((3, len(ts)))
+            samples[:, ~late] = sol.sol(ts[~late])
+            if late.any():
+                samples[:, late] = _at_s(tail, field, ts[late])
         fp = None if blowup else _detect_fixed_point(p, chart,
                                                      samples[:2, -100:])
         end = {"kind": "blowup" if blowup else

@@ -144,8 +144,8 @@ class TestSelfsimCommand:
          "LapackRadau failed at s=5.4841286688378366e-321: array must not "
          "contain infs or NaNs"),
         (["selfsim", "--chart", "kl", "--a", "1e308", "--s-max", "8"],
-         "StiffnessDOP853 failed at s=0: Required step size is less than "
-         "spacing between numbers.")])
+         "DOP853 failed at s=0: Required step size is less than spacing "
+         "between numbers.")])
     def test_solver_failure_exits_3(self, tmp_path, capsys, argv, words):
         out = tmp_path / "run"
         code = run([*argv, "--b", "1", "--init", "0,-0.5", "--out", str(out)])
@@ -415,6 +415,18 @@ class TestCatalogCommand:
         assert captured.err == f"InvalidParams: {words}\n"
         assert captured.out == ""
 
+    # --all names every length series; list and show take no --all.
+    @pytest.mark.parametrize("argv, words", [
+        (["list", "--all"], "catalog list takes no --all"),
+        (["show", "translator-y", "--all"], "catalog show takes no --all"),
+        (["lengths", "translator-y", "--all"],
+         "catalog lengths takes NAME or --all, not both: 'translator-y'")])
+    def test_ignored_all_refused(self, capsys, argv, words):
+        assert run(["catalog", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"InvalidParams: {words}\n"
+        assert captured.out == ""
+
     def test_lengths_unknown_name_exit_code(self, capsys):
         assert run(["catalog", "lengths", "no-such"]) == 4
         assert capsys.readouterr().err.startswith(
@@ -442,6 +454,16 @@ class TestCatalogCommand:
 
 
 class TestVerifyCommand:
+    def test_all_and_names_refused(self, tmp_path, capsys):
+        # --all used to win, and bogus was never checked.
+        out = tmp_path / "v"
+        assert run(["verify", "--all", "--names", "bogus",
+                    "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "InvalidParams: pass --all or --names, not both\n"
+        assert captured.out == "" and not out.exists()
+
     def test_subset(self, tmp_path, capsys):
         out = tmp_path / "v"
         code = run(["verify", "--names",

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -186,3 +187,20 @@ def test_csv_round_trip(tmp_path):
     back = read_curve_csv(path)
     for field in ("s", "x", "y", "theta", "k", "tau", "nu"):
         assert np.array_equal(getattr(back, field), getattr(c, field))
+
+
+def test_csv_written_atomically(tmp_path, monkeypatch):
+    # A write that fails leaves the old file whole and no temporary file
+    # behind; the file used to be opened in place, which truncates it.
+    xs = np.linspace(-1, 1, 51)
+    c = frame_from_graph(xs, np.sqrt(xs ** 2 + 1))
+    path = tmp_path / "curve.csv"
+    path.write_text("old\n")
+
+    def full(*args):
+        raise OSError("No space left on device")
+    monkeypatch.setattr(os, "replace", full)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_curve_csv(c, path)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -9,6 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from minkflow import geometry as geo
 from minkflow import selfsim as ss
+from minkflow.cli import main
 from minkflow.errors import (BranchContainsRoot, Inconclusive, InvalidParams,
                              NoInvariantKnown, NonFiniteCurve,
                              QuadratureFailed, SolverFailed,
@@ -231,6 +233,46 @@ class TestIntegratePhase:
                                (0.0, -0.5), s_max=(1.0, 0.0))
         assert exc.value.s == -5.4841286688378366e-321
 
+    def test_event_search_failure_raised(self, monkeypatch, capsys):
+        # An inflection event whose sign at a step's end disagrees with the
+        # dense output there, as rounding can make it next to a root, gives
+        # brentq no sign change.  That ValueError was reported as a Radau
+        # failure, or escaped and exited 2.
+        phase_events = ss._phase_events
+
+        def events(*args):
+            seen = set()
+
+            def flips(s, u):  # positive at the first look past s = 0.5
+                first = s not in seen
+                seen.add(s)
+                return 1.0 if first and s > 0.5 else -1.0
+            return phase_events(*args)[:3] + [flips]
+        monkeypatch.setattr(ss, "_phase_events", events)
+        with pytest.raises(SolverFailed, match=r"^event search failed at "
+                           r"s=\S+: f\(a\) and f\(b\) must have different "
+                           r"signs$") as exc:
+            ss.integrate_phase(SolitonParams(0.0, 1.0), Chart.TAU_NU,
+                               (0.0, -0.5), s_max=(0.0, 8.0))
+        assert 0.5 < exc.value.s < 8.0
+        assert main(["classify", "--a", "0", "--b", "1", "--init", "0,-0.5",
+                     "--s-max", "8"]) == 3
+        assert capsys.readouterr().err == f"SolverFailed: {exc.value}\n"
+
+    @pytest.mark.parametrize("a", [1e5, 1e12])
+    def test_near_pole_samples_kept(self, a):
+        # Three samples lie 100, 10 and 1 times base short of the blow-up
+        # at s_last: base is 1e-9, or 1e-3 s_last once s_last < 1e-6.  With
+        # 1e-9 alone they fell past s = 0 and were dropped from a = 1e10 on
+        # (7,999 samples at a = 1e12).
+        traj = ss.integrate_phase(SolitonParams(a, 1.0), Chart.TAU_NU,
+                                  (0.0, -0.5), s_max=1.0)
+        [s_blow] = traj.events["blowups"]
+        base = 1e-9 if s_blow <= -1e-6 else 1e-3 * -s_blow
+        assert len(traj.s) == 8002 and traj.s[0] == s_blow
+        assert np.isin(s_blow + base * np.array([100.0, 10.0, 1.0]),
+                       traj.s).all()
+
 
 # Blow-up parameters of the forward side, recorded when every step was
 # taken in s (before the tail continuation existed).
@@ -253,8 +295,8 @@ BLOWUP_RUNS = {
         (SolitonParams(0.0, -1.0), Chart.TAU_NU, (0.0, 1.0), 20.0, {}),
         1.2586883293483402),
 }
-# Steps of the Radau creep of each stiff run along the slow manifold up to
-# the switch, with both handoffs off (NSTIFF = inf).
+# Steps of the creep of each stiff run along the slow manifold up to the
+# switch with Radau alone, scipy's or LapackRadau.
 RADAU_ONLY_STEPS = {"rotation trapped": 2583, "screw beta>1 trapped": 2759}
 
 
@@ -307,15 +349,31 @@ class TestArclengthTail:
 
     @staticmethod
     def solves(monkeypatch):
-        """(method, steps, nfev, njev, nlu) of each solve_ivp call."""
+        """(method, steps, nfev, njev, nlu) of each solve_ivp call.  A phase
+        side in s is one PhaseSolver call, whose method is the list of its
+        inner solvers' runs, (class name, accepted steps), in order."""
         import scipy.integrate
-        runs, solve_ivp = [], scipy.integrate.solve_ivp
+        runs, steps, solve_ivp = [], [], scipy.integrate.solve_ivp
+        phase = ss._solvers()[1]
+        step = phase._step_impl
+
+        def stepped(self):
+            ok, message = step(self)
+            if ok:
+                steps.append((self, type(self.inners[-1]).__name__))
+            return ok, message
 
         def counted(*args, method, **kw):
             sol = solve_ivp(*args, method=method, **kw)
-            runs.append((getattr(method, "__name__", method), len(sol.t) - 1,
-                         sol.nfev, sol.njev, sol.nlu))
+            name = getattr(method, "__name__", method)
+            if method is phase:
+                mine = (inner for solver, inner in steps
+                        if solver is kw["made"][-1])
+                name = [(inner, len(list(run)))
+                        for inner, run in itertools.groupby(mine)]
+            runs.append((name, len(sol.t) - 1, sol.nfev, sol.njev, sol.nlu))
             return sol
+        monkeypatch.setattr(phase, "_step_impl", stepped)
         monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
         return runs
 
@@ -344,9 +402,10 @@ class TestArclengthTail:
         runs = self.solves(monkeypatch)
         (p, chart, init, s_max, kw), _ = BLOWUP_RUNS[name]
         ss.integrate_phase(p, chart, init, s_max=s_max, **kw)
-        creep, stretch, tail = runs  # the backward side is empty
-        assert creep[0] == "LapackRadau" and creep[1] <= 1500
-        assert stretch[0] == "StiffnessDOP853" and stretch[1] <= 300
+        side, tail = runs  # the backward side is empty
+        (creep, n_creep), (stretch, n_stretch) = side[0]
+        assert creep == "LapackRadau" and n_creep <= 1500
+        assert stretch == "DOP853" and n_stretch <= 300
         assert tail[0] == "DOP853" and tail[1] <= 40
 
     def test_contraction_tail_steps(self, monkeypatch):
@@ -354,8 +413,11 @@ class TestArclengthTail:
         runs = self.solves(monkeypatch)
         (p, chart, init, s_max, kw), _ = BLOWUP_RUNS["contraction"]
         ss.integrate_phase(p, chart, init, s_max=s_max, **kw)
-        assert [run[0] for run in runs] == ["StiffnessDOP853", "DOP853"] * 2
-        for tail in runs[1::2]:
+        sides, tails = runs[0::2], runs[1::2]
+        assert [[name for name, _ in side[0]] for side in sides] == \
+            [["DOP853"]] * 2
+        assert [tail[0] for tail in tails] == ["DOP853"] * 2
+        for tail in tails:
             assert tail[1] <= 80
 
     def test_tail_failure_raised(self, monkeypatch):
@@ -532,7 +594,9 @@ class TestStiffHandoff:
               "atol": 1e-12, "blowup_threshold": 1e6}
         runs = TestArclengthTail.solves(monkeypatch)
         traj = ss.integrate_phase(*args, **kw)
-        assert "StiffnessDOP853" in [run[0] for run in runs]
+        back = runs[-1][0]  # one PhaseSolver run, with no tail
+        assert [name for name, _ in back] == ["LapackRadau", "DOP853",
+                                              "LapackRadau"]
         assert sum(run[2] for run in runs) <= 1.25 * nfev
         _assert_same_events(traj, self.radau_only(*args, **kw))
 
@@ -556,27 +620,75 @@ class TestStiffHandoff:
         ref = ss.integrate_phase(p, Chart.TAU_NU, init, **kw)
         _assert_same_events(_above_floor(traj), _above_floor(ref))
 
-    # DOP853 alone is stiff on both: at a = 1e8 it did not reach s = 1
+    # DOP853 alone is stiff on all three: at a = 1e8 it did not reach s = 1
     # within 20 s, and at a = 0 it took 4,082 steps a side to s = 100, its
     # steps shrinking like 1/s.  With the handoff the forward sides take
-    # 6 DOP853, 3 Radau, 3 DOP853 and 7 Radau steps, and 3,404, 3, 3 and
-    # 17.  The bounce after each DOP853 -> Radau handoff: Radau restarts
-    # with steps too small to be stiff while the fast mode settles, and
-    # DOP853 hands the side back after NSTIFF stiff steps.
+    # 6 DOP853, 3 Radau, 4 DOP853 and 10 Radau steps, and 3,404, 3, 4 and
+    # 14.  The bounce after each DOP853 -> Radau handoff: Radau's error
+    # test cuts the step it is handed below the stiff size while the fast
+    # mode settles, and DOP853 takes the side back after NSTIFF of them.
+    # At a = 1e150 the sides that restarted solve_ivp at each handoff
+    # made 19,475 pieces in 40 s, each advancing s by about 4e-149.
     @pytest.mark.parametrize("p, s_max, bounds", [
         (SolitonParams(1e8, 1.0), 1.0,
-         [("StiffnessDOP853", 8), ("LapackRadau", 4), ("StiffnessDOP853", 4),
-          ("LapackRadau", 9), ("StiffnessDOP853", 166), ("DOP853", 88)]),
+         [("DOP853", 8), ("LapackRadau", 4), ("DOP853", 5),
+          ("LapackRadau", 13), ("DOP853", 166), ("tail", 88)]),
         (SolitonParams(0.0, 1.0), 1000.0,
-         [("StiffnessDOP853", 4255), ("LapackRadau", 4),
-          ("StiffnessDOP853", 4), ("LapackRadau", 22)] * 2)])
+         [("DOP853", 4255), ("LapackRadau", 4), ("DOP853", 5),
+          ("LapackRadau", 18)] * 2),
+        (SolitonParams(1e150, 1.0), 1.0,
+         [("DOP853", 220), ("LapackRadau", 206), ("DOP853", 581),
+          ("tail", 88)])])
     def test_explicit_side_hands_off(self, p, s_max, bounds, monkeypatch):
         runs = TestArclengthTail.solves(monkeypatch)
         traj = ss.integrate_phase(p, Chart.TAU_NU, (0.0, -0.5), s_max=s_max)
         assert traj.s[-1] == s_max
-        assert [run[0] for run in runs] == [name for name, _ in bounds]
-        for run, (_, most) in zip(runs, bounds):
-            assert run[1] <= most
+        assert [name for name, _ in _flat(runs)] == [n for n, _ in bounds]
+        for (_, steps), (_, most) in zip(_flat(runs), bounds):
+            assert steps <= most
+
+    def test_counts_are_summed(self, monkeypatch):
+        # The forward side of a = 1e8 runs DOP853, LapackRadau, DOP853 and
+        # LapackRadau; solve_ivp reads the side's counts once, at its end.
+        phase, inners = ss._solvers()[1], []
+        start = phase._start
+
+        def started(self, *args):
+            inners.append(start(self, *args))
+            return inners[-1]
+        monkeypatch.setattr(phase, "_start", started)
+        runs = TestArclengthTail.solves(monkeypatch)
+        ss.integrate_phase(SolitonParams(1e8, 1.0), Chart.TAU_NU,
+                           (0.0, -0.5), s_max=(0.0, 1.0))
+        [(_, _, *counts)] = runs
+        assert len(inners) == 4
+        assert counts == [sum(getattr(inner, key) for inner in inners)
+                          for key in ("nfev", "njev", "nlu")]
+        assert min(counts) > 0
+
+    @pytest.mark.parametrize("stiff", [False, True],
+                             ids=["DOP853", "Radau"])
+    def test_without_handoff_is_inner_solver(self, stiff, monkeypatch):
+        # NSTIFF = inf turns both handoffs off: a side is then one run of
+        # the solver it starts with, step for step.  With NSTIFF = 3 both
+        # starts hand off three times before s = 1e-6.
+        from scipy.integrate import DOP853, solve_ivp
+        monkeypatch.setattr(ss, "NSTIFF", math.inf)
+        lapack_radau, phase = ss._solvers()
+        p = SolitonParams(1e8, 1.0)
+        rhs, jac = ss._phase_rhs(p, Chart.TAU_NU)
+        events = ss._phase_events(p, Chart.TAU_NU, ss.BLOWUP_THRESHOLD)
+
+        def run(method, **kw):
+            return solve_ivp(rhs, (0.0, 1e-6), (0.0, -0.5, 0.0),
+                             method=method, rtol=ss.RTOL, atol=ss.ATOL,
+                             events=events + [ss._switch(rhs)],
+                             dense_output=True, **kw)
+        ours = run(phase, jac=jac, stiff=stiff, made=[])
+        ref = run(lapack_radau, jac=jac) if stiff else run(DOP853)
+        TestLapackRadau.assert_same(ours, ref)
+        s = np.linspace(0.0, ours.t[-1], 101)
+        assert np.array_equal(ours.sol(s), ref.sol(s))
 
     # Eigenvalues -5 and 3, 2 and 3, -1 +- 2i and 1 +- 2i.
     @pytest.mark.parametrize("block, rate", [
@@ -595,8 +707,8 @@ class TestStiffHandoff:
         runs = TestArclengthTail.solves(monkeypatch)
         ss.integrate_phase(SolitonParams(0.0, -1.0), Chart.TAU_NU,
                            (1.0, 1e-300), blowup_threshold=1e6)
-        assert [run[:2] for run in runs] == [("StiffnessDOP853", 888),
-                                             ("StiffnessDOP853", 698)]
+        assert [run[:2] for run in runs] == [([("DOP853", 888)], 888),
+                                             ([("DOP853", 698)], 698)]
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(1, 64), st.floats(0.1, 2.0), st.booleans(),
@@ -632,6 +744,15 @@ def _assert_same_events(traj, ref):
         [c["s"] for c in ref.events["crossings"]], rel=1e-9)
 
 
+def _flat(runs):
+    """(solver, steps) of every run that ``TestArclengthTail.solves``
+    lists: each phase side's inner runs, and "tail" for a DOP853 run in
+    log radius."""
+    return [pair for method, steps, *_ in runs
+            for pair in (method if isinstance(method, list) else
+                         [("tail", steps)])]
+
+
 def _above_floor(traj):
     """``traj`` without the inflections from the first node on where |nu|
     is under RELATIVE_FLOOR / RTOL, the cut of ``conserved_drift``."""
@@ -665,25 +786,21 @@ def _report(p, traj):
 
 
 class TestLapackRadau:
-    """``selfsim._radau`` is scipy's Radau with LAPACK called directly, up
-    to the handoff."""
+    """``LapackRadau`` is scipy's Radau with LAPACK called directly, and a
+    Radau side without handoffs is one LapackRadau run."""
 
     @staticmethod
-    def runs(name):
-        """The creep of the stiff run ``name`` with LapackRadau, and with
-        scipy's Radau out to where LapackRadau ended it."""
-        from scipy.integrate import Radau, solve_ivp
-        (p, chart, init, _, kw), _ = BLOWUP_RUNS[name]
+    def run(name, method, **kw):
+        """The creep of the stiff run ``name`` with ``method``, out to the
+        switch."""
+        from scipy.integrate import solve_ivp
+        (p, chart, init, _, opts), _ = BLOWUP_RUNS[name]
         rhs, jac = ss._phase_rhs(p, chart)
-        events = ss._phase_events(p, chart, kw["blowup_threshold"])
-
-        def run(method, end):
-            return solve_ivp(rhs, (0.0, end), (*init, 0.0), method=method,
-                             jac=jac, rtol=kw["rtol"], atol=kw["atol"],
-                             events=events + [ss._switch(rhs)],
-                             dense_output=True)
-        ours = run(ss._radau(), 1e7)
-        return ours, run(Radau, 1e7 if ours.status else ours.t[-1])
+        events = ss._phase_events(p, chart, opts["blowup_threshold"])
+        return solve_ivp(rhs, (0.0, 1e7), (*init, 0.0), method=method,
+                         jac=jac, rtol=opts["rtol"], atol=opts["atol"],
+                         events=events + [ss._switch(rhs)],
+                         dense_output=True, **kw)
 
     @staticmethod
     def assert_same(a, b):
@@ -694,25 +811,26 @@ class TestLapackRadau:
 
     @pytest.mark.parametrize("name", sorted(RADAU_ONLY_STEPS))
     def test_same_steps_as_scipy(self, name):
-        # LapackRadau ends its run at the handoff to DOP853, before the
-        # switch; scipy's Radau run to that end takes the same steps.
-        ours, scipys = self.runs(name)
-        assert ours.status == 0 and len(ours.t) - 1 < RADAU_ONLY_STEPS[name]
-        self.assert_same(ours, scipys)
+        from scipy.integrate import Radau
+        ours = self.run(name, ss._solvers()[0])
+        assert ours.status == 1 and len(ours.t) - 1 == RADAU_ONLY_STEPS[name]
+        self.assert_same(ours, self.run(name, Radau))
 
     @pytest.mark.parametrize("name", sorted(RADAU_ONLY_STEPS))
     def test_radau_only_same_steps_as_scipy(self, name, monkeypatch):
-        # With both handoffs off, both run on to the switch.
+        # With both handoffs off, a side started with Radau runs on to the
+        # switch as scipy's Radau does.
+        from scipy.integrate import Radau
         monkeypatch.setattr(ss, "NSTIFF", math.inf)
-        ours, scipys = self.runs(name)
+        ours = self.run(name, ss._solvers()[1], stiff=True, made=[])
         assert ours.status == 1 and len(ours.t) - 1 == RADAU_ONLY_STEPS[name]
-        self.assert_same(ours, scipys)
+        self.assert_same(ours, self.run(name, Radau))
 
     def test_non_finite_matrix_refused(self):
         from scipy.integrate import solve_ivp
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0],
-                      method=ss._radau(), jac=lambda t, y: [[math.nan]])
+                      method=ss._solvers()[0], jac=lambda t, y: [[math.nan]])
 
 
 class TestReconstruct:
