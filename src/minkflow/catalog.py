@@ -1,13 +1,12 @@
 """Registry of closed-form flow solutions.
 
 Twelve solutions of the split-signature flow and four of the Euclidean
-curve-shortening flow, each stored as the source text of a sympy
-expression for the graph variable (``x``, or eta for lightcone entries)
-and time ``t``.  The text is parsed and lambdified on first use, so
-listing or looking up entries never imports sympy.  Expressions give
-exact derivatives, so residual verification, curvature-profile checks and
-length computation all run against the true closed form rather than a
-resampled approximation.
+curve-shortening flow.  Each stores sympy's canonical text (``sstr``,
+which ``catalog show`` prints) of its closed form in the graph variable
+(``x``, or eta for lightcone entries) and time ``t``, of its curvature
+profile and, for the six finite-length entries, of its first derivative.
+Residuals, lengths and boundary values sample the text compiled to numpy;
+only the curvature-profile check derives with sympy.
 
 Canonical names: translator-y, translator-x, translator-xi,
 hyperbola-expander, screw-tanh, screw-tan, screw-coth, oval-coshcosh,
@@ -84,12 +83,13 @@ class ExactSolution:
         return float(res.integral) if ts.ndim == 0 else res.integral
 
 
-def _entry(name, plane, kind, t_domain, expr, times, window, finite,
-           profile, notes, wick_partner=None, length_bounds=None):
-    form = ClosedForm(expr, "x", "t", name=name)
+def _entry(name, plane, kind, t_domain, expr, times, window, profile, notes,
+           slope=None, wick_partner=None, length_bounds=None):
+    form = ClosedForm(expr, "x", "t", name=name, slope=slope)
     return ExactSolution(name, plane, kind, t_domain, form, times,
                          window if callable(window) else (lambda t, w=window: w),
-                         finite, profile, notes, wick_partner, length_bounds)
+                         slope is not None, profile, notes, wick_partner,
+                         length_bounds)
 
 
 def _profile(expr, t_domain, times, window):
@@ -103,8 +103,8 @@ def _build_registry() -> dict:
     entries = [
         _entry(
             "translator-y", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, inf),
-            "t + log(cosh(x))",
-            times=(-0.4, 0.1, 0.8), window=(-2.0, 2.0), finite=True,
+            "t + log(cosh(x))", slope="sinh(x)/cosh(x)",
+            times=(-0.4, 0.1, 0.8), window=(-2.0, 2.0),
             profile=_profile("cosh(theta)", (-inf, inf), (-0.5, 0.0, 0.5),
                              (-2.0, 2.0)),
             notes=("rises along the y-axis at unit speed; length pi at "
@@ -113,7 +113,7 @@ def _build_registry() -> dict:
         _entry(
             "translator-x", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, inf),
             "asinh(exp(t - x))",
-            times=(-0.3, 0.0, 0.4), window=(-2.0, 2.5), finite=False,
+            times=(-0.3, 0.0, 0.4), window=(-2.0, 2.5),
             profile=_profile("-sinh(theta)", (-inf, inf), (-0.5, 0.0, 0.5),
                              (-2.5, -0.3)),
             notes=("slides along the x-axis; one end of finite length, "
@@ -121,8 +121,8 @@ def _build_registry() -> dict:
         ),
         _entry(
             "translator-xi", Plane.MINKOWSKI, FlowKind.LIGHTCONE, (-inf, inf),
-            "exp(x) + t",
-            times=(-0.5, 0.2, 1.0), window=(-2.0, 2.0), finite=False,
+            "t + exp(x)",
+            times=(-0.5, 0.2, 1.0), window=(-2.0, 2.0),
             profile=_profile("exp(-theta)", (-inf, inf), (-0.5, 0.0, 0.5),
                              (-2.0, 2.0)),
             notes=("translates along the xi diagonal with k = 1/s, s > 0; "
@@ -131,16 +131,16 @@ def _build_registry() -> dict:
         _entry(
             "hyperbola-expander", Plane.MINKOWSKI, FlowKind.GRAPH_Y,
             (0.0, inf),
-            "sqrt(x*x + 2*t)",
-            times=(0.5, 1.0, 2.0), window=(-1.5, 1.5), finite=False,
-            profile=_profile("1/sqrt(2*t)", (0.0, inf), (0.5, 1.0, 2.0),
-                             (-2.0, 2.0)),
+            "sqrt(2*t + x**2)",
+            times=(0.5, 1.0, 2.0), window=(-1.5, 1.5),
+            profile=_profile("sqrt(2)/(2*sqrt(t))", (0.0, inf),
+                             (0.5, 1.0, 2.0), (-2.0, 2.0)),
             notes="constant-curvature arc expanding from the light cone",
         ),
         _entry(
             "screw-tanh", Plane.MINKOWSKI, FlowKind.LIGHTCONE, (-inf, 0.5),
-            "(1 - 2*t)*tanh(x)",
-            times=(-0.5, 0.0, 0.3), window=(-2.0, 2.0), finite=True,
+            "(1 - 2*t)*tanh(x)", slope="(1 - 2*t)*(1 - tanh(x)**2)",
+            times=(-0.5, 0.0, 0.3), window=(-2.0, 2.0),
             profile=_profile("sqrt(exp(-2*theta) + 1/(2*t))",
                              (-inf, 0.0), (-1.5, -0.8, -0.52),
                              lambda t: (0.5 * math.log(-2.0 * t) - 4.0,
@@ -150,8 +150,8 @@ def _build_registry() -> dict:
         ),
         _entry(
             "screw-tan", Plane.MINKOWSKI, FlowKind.LIGHTCONE, (-0.5, inf),
-            "(1 + 2*t)*tan(x)",
-            times=(-0.2, 0.5, 1.5), window=(-1.2, 1.2), finite=False,
+            "(2*t + 1)*tan(x)",
+            times=(-0.2, 0.5, 1.5), window=(-1.2, 1.2),
             profile=_profile("sqrt(-exp(-2*theta) + 1/(2*t))",
                              (0.0, inf), (0.3, 0.8, 1.5),
                              lambda t: (0.5 * math.log(2.0 * t) + 0.2,
@@ -160,8 +160,8 @@ def _build_registry() -> dict:
         ),
         _entry(
             "screw-coth", Plane.MINKOWSKI, FlowKind.LIGHTCONE, (-0.5, inf),
-            "-(1 + 2*t)*coth(x)",
-            times=(-0.2, 0.5, 1.5), window=(-3.0, -0.3), finite=False,
+            "(-2*t - 1)*coth(x)",
+            times=(-0.2, 0.5, 1.5), window=(-3.0, -0.3),
             profile=_profile("sqrt(exp(-2*theta) + 1/(2*t))",
                              (0.0, inf), (0.3, 0.8, 1.5), (-2.0, 2.0)),
             notes=("boost + expansion on eta < 0; mixed-length ends with "
@@ -170,7 +170,9 @@ def _build_registry() -> dict:
         _entry(
             "oval-coshcosh", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (0.0, inf),
             "acosh(exp(t)*cosh(x))",
-            times=(0.5, 1.0, 2.0), window=(-2.0, 2.0), finite=True,
+            times=(0.5, 1.0, 2.0), window=(-2.0, 2.0),
+            slope=("exp(t)*sinh(x)/(sqrt(exp(t)*cosh(x) - 1)"
+                   "*sqrt(exp(t)*cosh(x) + 1))"),
             profile=_profile("sqrt(cosh(2*theta) + coth(2*t))",
                              (0.0, inf), (0.3, 0.8, 1.5), (-1.5, 1.5)),
             notes=("upper branch; tracks the expanding hyperbola near t=0 "
@@ -180,7 +182,8 @@ def _build_registry() -> dict:
         _entry(
             "wave-coshsinh", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, inf),
             "asinh(exp(t)*cosh(x))",
-            times=(-1.0, 0.0, 1.0), window=(-2.0, 2.0), finite=True,
+            times=(-1.0, 0.0, 1.0), window=(-2.0, 2.0),
+            slope="exp(t)*sinh(x)/sqrt(exp(2*t)*cosh(x)**2 + 1)",
             profile=_profile("sqrt(cosh(2*theta) + tanh(2*t))",
                              (-inf, inf), (-0.8, 0.0, 0.8), (-1.5, 1.5)),
             notes=("pair of sideways translators merging into the y-axis "
@@ -189,7 +192,8 @@ def _build_registry() -> dict:
         _entry(
             "wave-sinhsinh", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, 0.0),
             "asinh(exp(t)*sinh(x))",
-            times=(-2.0, -1.0, -0.3), window=(-2.0, 2.0), finite=True,
+            times=(-2.0, -1.0, -0.3), window=(-2.0, 2.0),
+            slope="exp(t)*cosh(x)/sqrt(exp(2*t)*sinh(x)**2 + 1)",
             profile=_profile("sqrt(cosh(2*theta) + coth(2*t))",
                              (-inf, 0.0), (-1.5, -0.8, -0.4),
                              lambda t: (0.5 * _acosh_clip(-1.0 / math.tanh(2 * t)) + 0.2,
@@ -200,7 +204,7 @@ def _build_registry() -> dict:
         _entry(
             "wave-sinsin", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (0.0, inf),
             "asin(exp(-t)*sin(x))",
-            times=(0.1, 0.15, 0.25), window=(-2.5, 2.5), finite=False,
+            times=(0.1, 0.15, 0.25), window=(-2.5, 2.5),
             profile=_profile("sqrt(-cosh(2*theta) + 1/tanh(2*t))",
                              (0.0, inf), (0.1, 0.15, 0.25),
                              lambda t: _sym_window(
@@ -211,10 +215,10 @@ def _build_registry() -> dict:
         _entry(
             "interp-tan", Plane.MINKOWSKI, FlowKind.LIGHTCONE,
             (0.0, math.pi / 4),
-            "atanh(tan(x)*tan(2*t))",
+            "atanh(tan(2*t)*tan(x))",
             times=(0.2, math.pi / 8, 0.6),
             window=lambda t: _sym_window(0.75 * (math.pi / 2 - 2.0 * t)),
-            finite=True,
+            slope="(tan(x)**2 + 1)*tan(2*t)/(-tan(2*t)**2*tan(x)**2 + 1)",
             profile=_profile("sqrt(sinh(2*theta) + 1/tan(2*t))",
                              (0.0, math.pi / 2), (0.4, 0.8, 1.2),
                              lambda t: (0.5 * math.asinh(-1.0 / math.tan(2 * t)) + 0.2,
@@ -228,19 +232,18 @@ def _build_registry() -> dict:
         # Euclidean curve-shortening solutions.
         _entry(
             "euclid-circle", Plane.EUCLIDEAN, FlowKind.GRAPH_Y, (-inf, 0.0),
-            "sqrt(-2*t - x*x)",
+            "sqrt(-2*t - x**2)",
             times=(-2.0, -1.0, -0.5),
             window=lambda t: _sym_window(0.7 * math.sqrt(-2.0 * t)),
-            finite=False,
-            profile=_profile("1/sqrt(-2*t)", (-inf, 0.0),
+            profile=_profile("sqrt(2)/(2*sqrt(-t))", (-inf, 0.0),
                              (-2.0, -1.0, -0.5), (-2.0, 2.0)),
             notes="upper semicircle of the shrinking round solution",
             wick_partner="hyperbola-expander",
         ),
         _entry(
             "euclid-reaper", Plane.EUCLIDEAN, FlowKind.GRAPH_Y, (-inf, inf),
-            "log(cos(x)) - t",
-            times=(-1.0, 0.0, 1.0), window=(-1.2, 1.2), finite=False,
+            "-t + log(cos(x))",
+            times=(-1.0, 0.0, 1.0), window=(-1.2, 1.2),
             profile=_profile("cos(theta)", (-inf, inf), (-0.5, 0.0, 0.5),
                              (-1.2, 1.2)),
             notes="downward-translating single-arch solution",
@@ -251,7 +254,6 @@ def _build_registry() -> dict:
             "acosh(exp(-t)*cos(x))",
             times=(-2.0, -1.0, -0.5),
             window=lambda t: _sym_window(0.7 * math.acos(math.exp(t))),
-            finite=False,
             profile=_profile("sqrt(cos(2*theta) - 1/tanh(2*t))",
                              (-inf, 0.0), (-2.0, -1.0, -0.5), (-1.0, 1.0)),
             notes="upper half of the shrinking oval (paperclip) solution",
@@ -260,7 +262,7 @@ def _build_registry() -> dict:
         _entry(
             "euclid-wave", Plane.EUCLIDEAN, FlowKind.GRAPH_Y, (-inf, inf),
             "asinh(exp(-t)*cos(x))",
-            times=(-0.5, 0.0, 0.3), window=(-2.0, 2.0), finite=False,
+            times=(-0.5, 0.0, 0.3), window=(-2.0, 2.0),
             profile=_profile("sqrt(cos(2*theta) - tanh(2*t))",
                              (-inf, inf), (-0.5, 0.0, 0.3),
                              lambda t: _sym_window(

@@ -9,7 +9,6 @@ byte-identical files.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import ast
 import dataclasses
 import hashlib
 import json
@@ -27,13 +26,6 @@ from .selfsim import Chart, SolitonParams
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_UNKNOWN = 0, 2, 3, 4
 
-# Supported functions and the argument counts each takes (log may take a
-# base); sympy reads some extra arguments as options, so counts are checked.
-_ALLOWED_FUNCS = dict.fromkeys(
-    ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "sqrt", "asin",
-     "acos", "atan", "asinh", "acosh", "atanh", "coth", "Abs"), (1,))
-_ALLOWED_FUNCS["log"] = (1, 2)
-
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -44,59 +36,9 @@ def _config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-# Syntax an expr: formula may use besides keyword-free calls by name;
-# sympy evaluates the text as Python, so it is checked before sympy sees it.
-_FORMULA_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Name,
-                  ast.Load, ast.Constant, ast.Add, ast.Sub, ast.Mult,
-                  ast.Div, ast.Pow, ast.BitXor, ast.UAdd, ast.USub)
-
-
 def _parse_expr(text: str, var_name: str):
-    """Closed-form sampler restricted to the fixed function basis.
-
-    The text may hold only numbers, the names var_name, t, pi and E,
-    + - * / ** ^ and keyword-free calls to the supported functions, with
-    one argument each (log: one or two).
-    """
-    try:
-        tree = ast.parse(text, mode="eval")
-    except (SyntaxError, ValueError) as exc:
-        raise InvalidParams(f"expression is not a formula: {exc}") from None
-    called, bad, free = set(), set(), set()
-    for node in ast.walk(tree):  # breadth first: a call precedes its name
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and not node.keywords:
-            called.add(id(node.func))
-            arity = _ALLOWED_FUNCS.get(node.func.id)
-            if arity and len(node.args) not in arity:
-                raise InvalidParams(
-                    f"expression does not parse: {node.func.id} takes "
-                    f"{' or '.join(map(str, arity))} argument(s), "
-                    f"got {len(node.args)}")
-        elif not isinstance(node, _FORMULA_NODES) or (
-                isinstance(node, ast.Constant)
-                and type(node.value) not in (int, float)):
-            raise InvalidParams(
-                f"expression uses unsupported syntax ({type(node).__name__});"
-                f" allowed are numbers, pi, E, {var_name}, t, + - * / ** ^ "
-                "and calls to the supported functions")
-        elif id(node) in called:
-            if node.id not in _ALLOWED_FUNCS:
-                bad.add(node.id)
-        elif isinstance(node, ast.Name) and \
-                node.id not in (var_name, "t", "pi", "E"):
-            free.add(node.id)
-    if bad:
-        raise InvalidParams(
-            f"functions {sorted(bad)} are outside the supported basis")
-    if free:
-        raise InvalidParams(
-            f"unknown symbols in expression: {{{', '.join(sorted(free))}}}")
     form = flow.ClosedForm(text, var_name, "t", name=text)
-    try:
-        form.expr  # sympy parses the checked text here, not mid-run
-    except (TypeError, ValueError) as exc:
-        raise InvalidParams(f"expression does not parse: {exc}") from None
+    form.sampler  # compiles, so the formula is checked here, not mid-run
     return form
 
 
@@ -127,30 +69,22 @@ def _initial_grid(args) -> tuple[FlowGrid, object]:
         return FlowGrid(kind, nodes, np.interp(nodes, at, on), args.t0), None
     if spec.startswith("expr:"):
         form = _parse_expr(spec[5:], graph.names[0])
-
-        def sample(pts, t):  # FlowGrid and evolve refuse non-finite values
-            with np.errstate(all="ignore"):
-                return form(pts, t)
-
-        grid = FlowGrid(kind, nodes, sample(nodes, args.t0), args.t0)
-        bc = Dirichlet(lambda t: float(sample(nodes[0], t)),
-                       lambda t: float(sample(nodes[-1], t)))
-        return grid, bc
-    entry = catalog.get(spec)
-    if entry.plane is not flow.Plane.MINKOWSKI:
-        raise InvalidParams(
-            f"{entry.name} is a {entry.plane.value} entry; evolve solves "
-            "only the Minkowski flow")
-    lo, hi = entry.t_domain
-    for flag, t in (("--t0", args.t0), ("--t1", args.t1)):
-        if not lo < t < hi:
+    else:
+        entry = catalog.get(spec)
+        if entry.plane is not flow.Plane.MINKOWSKI:
             raise InvalidParams(
-                f"{flag}={t:g} is outside the time domain ({lo:g}, {hi:g}) "
-                f"of {entry.name}")
-    grid = FlowGrid(entry.kind, nodes, entry.sampler(nodes, args.t0), args.t0)
-    bc = Dirichlet(lambda t: float(entry.sampler(nodes[0], t)),
-                   lambda t: float(entry.sampler(nodes[-1], t)))
-    return grid, bc
+                f"{entry.name} is a {entry.plane.value} entry; evolve solves "
+                "only the Minkowski flow")
+        lo, hi = entry.t_domain
+        for flag, t in (("--t0", args.t0), ("--t1", args.t1)):
+            if not lo < t < hi:
+                raise InvalidParams(
+                    f"{flag}={t:g} is outside the time domain ({lo:g}, "
+                    f"{hi:g}) of {entry.name}")
+        kind, form = entry.kind, entry.form
+    grid = FlowGrid(kind, nodes, form(nodes, args.t0), args.t0)
+    return grid, Dirichlet(lambda t: float(form(nodes[0], t)),
+                           lambda t: float(form(nodes[-1], t)))
 
 
 def cmd_evolve(args) -> int:
@@ -176,10 +110,8 @@ def cmd_evolve(args) -> int:
     curves = []
     to_xy = geometry._GRAPH_FORMS[grid.kind.value].to_xy
     for i, g in enumerate(snaps):
-        rows = [f"# t={g.t:.17g}", "node,value"]
-        rows += [f"{u:.17g},{v:.17g}" for u, v in zip(g.nodes, g.values)]
-        _atomic_write(os.path.join(args.out, f"snapshot_{i:03d}.csv"),
-                      "\n".join(rows) + "\n")
+        geometry._write_csv(os.path.join(args.out, f"snapshot_{i:03d}.csv"),
+                            f"# t={g.t:.17g}\nnode,value", [g.nodes, g.values])
         curves.append(np.column_stack(to_xy(g.nodes, g.values)))
     doc = svg.render(curves, labels=[f"t={g.t:.6g}" for g in snaps],
                      config_hash=_config_hash(cfg), title=args.initial)
@@ -230,11 +162,9 @@ def cmd_selfsim(args) -> int:
     p, traj = _run_trajectory(args)
     curve = selfsim.reconstruct(traj)  # may refuse: write nothing before
     report = selfsim.classify(p, traj)
-    rows = ["s,tau,nu,theta,k,l"]
-    rows += [",".join(f"{v:.17g}" for v in vals) for vals in
-             zip(traj.s, traj.tau, traj.nu, traj.theta, traj.k, traj.l)]
-    _atomic_write(os.path.join(args.out, "trajectory.csv"),
-                  "\n".join(rows) + "\n")
+    geometry._write_csv(os.path.join(args.out, "trajectory.csv"),
+                        "s,tau,nu,theta,k,l", [traj.s, traj.tau, traj.nu,
+                                               traj.theta, traj.k, traj.l])
     _atomic_write(os.path.join(args.out, "events.json"),
                   _json_dumps(traj.events))
     geometry.write_curve_csv(curve, os.path.join(args.out, "curve.csv"))
@@ -276,8 +206,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.all and args.action != "lengths":
-        raise InvalidParams(f"catalog {args.action} takes no --all")
+    if args.action != "lengths" and (args.all or args.points is not None):
+        flag = "--all" if args.all else "--points"
+        raise InvalidParams(f"catalog {args.action} takes no {flag}")
     if args.action == "list":
         if args.name is not None:
             raise InvalidParams(f"catalog list takes no NAME: {args.name!r}")
@@ -292,14 +223,15 @@ def cmd_catalog(args) -> int:
         e = catalog.get(args.name)
         info = {"name": e.name, "plane": e.plane.value, "kind": e.kind.value,
                 "t_domain": [e.t_domain[0], e.t_domain[1]],
-                "expression": str(e.form.expr),
+                "expression": e.form.text,
                 "curvature_profile": None if e.curvature_profile is None
-                else str(e.curvature_profile.form.expr),
+                else e.curvature_profile.form.text,
                 "finite_length": e.finite_length, "notes": e.notes,
                 "wick_partner": e.wick_partner}
         sys.stdout.write(_json_dumps(info))
         return EXIT_OK
-    _count("--points", args.points)  # the action is lengths
+    points = 50 if args.points is None else args.points
+    _count("--points", points)
     if args.all and args.name is not None:
         raise InvalidParams(f"catalog lengths takes NAME or --all, not "
                             f"both: {args.name!r}")
@@ -315,7 +247,7 @@ def cmd_catalog(args) -> int:
     for lb in labels:
         name, _ = catalog.LENGTH_SERIES[lb]
         lo, hi = catalog.LENGTH_GRIDS[lb]
-        series = catalog.length_vs_time(name, np.linspace(lo, hi, args.points))
+        series = catalog.length_vs_time(name, np.linspace(lo, hi, points))
         rows += [f"{lb},{name},{t:.17g},{val:.17g}" for t, val in series]
     text = "\n".join(rows) + "\n"
     if args.out:
@@ -431,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("list", "show", "lengths"))
     ca.add_argument("name", nargs="?")
     ca.add_argument("--all", action="store_true")
-    ca.add_argument("--points", type=int, default=50)
+    ca.add_argument("--points", type=int)  # lengths only; 50 if not given
     ca.set_defaults(func=cmd_catalog)
 
     iv = sub.add_parser("invariant", help="invariant-curve tools")

@@ -26,15 +26,18 @@ true solution); the catalog's curvature-profile check applies
 
 from __future__ import annotations
 
+import ast
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSlope, NotEven, SignChange, StabilityViolation
+from .errors import (DegenerateSlope, InvalidParams, NotEven, SignChange,
+                     StabilityViolation)
 from .geometry import _GRAPH_FORMS, SLOPE_TOL
 
 CFL = 0.4
@@ -275,13 +278,9 @@ def evolve(grid: FlowGrid, t_end: float, snapshot_every: float | None = None,
         return [grid]
     if boundary is None:
         boundary = FrozenSlope.from_grid(grid)
-    wanted = [grid.t]
-    if snapshot_every:
-        k, tk = 1, grid.t + snapshot_every
-        while tk < t_end - 1e-12 * max(1.0, abs(t_end)):
-            wanted.append(tk)
-            k += 1
-            tk = grid.t + k * snapshot_every
+    wanted, last = [grid.t], t_end - 1e-12 * max(1.0, abs(t_end))
+    while snapshot_every and grid.t + len(wanted) * snapshot_every < last:
+        wanted.append(grid.t + len(wanted) * snapshot_every)
     wanted.append(t_end)
 
     out = [grid]
@@ -371,51 +370,133 @@ def _observed_order(hs, errs) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# closed forms and the Euclidean <-> Minkowski substitution
+# closed forms: formulas compiled to numpy, and the Euclidean <-> Minkowski
+# substitution
+
+
+# name -> (numpy callable, argument counts); coth in sympy's numpy form
+_FUNCS = {
+    **{name: (getattr(np, name), (1,)) for name in
+       ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "sqrt")},
+    **{name: (getattr(np, "arc" + name[1:]), (1,)) for name in
+       ("asin", "acos", "atan", "asinh", "acosh", "atanh")},
+    "coth": (lambda v: (np.exp(v) + np.exp(-v)) / (np.exp(v) - np.exp(-v)),
+             (1,)),
+    "log": (lambda v, *b: np.log(v) / np.log(*b) if b else np.log(v), (1, 2)),
+    "Abs": (np.abs, (1,)),
+}
+_CONSTANTS = {"pi": np.float64(np.pi), "E": np.float64(np.e)}
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.Pow: operator.pow,
+        ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def compile_formula(text: str, space: str, time: str):
+    """The formula ``text`` as a numpy function f(space, time).
+
+    Allowed are numbers, ``space``, ``time``, pi, E, + - * / ** ^ (read as
+    **, as sympy does) and keyword-free calls to the functions of
+    ``_FUNCS``.  One walk of the ``ast`` checks the text (InvalidParams
+    names what it refuses) and builds a tree of closures.  Numbers are
+    float64: 1/0 gives inf and (-1)**0.5 nan, never an error or a complex.
+    """
+    bad, free = set(), set()
+
+    def build(node, depth):
+        if depth > 100:  # so evaluation stays far inside the recursion limit
+            raise InvalidParams("expression nests more than 100 levels deep")
+        if isinstance(node, ast.Name) and node.id in (space, time):
+            return (lambda x, t: x) if node.id == space else (lambda x, t: t)
+        if isinstance(node, ast.Name):  # pi, E or an unknown symbol
+            free.update({node.id} - _CONSTANTS.keys())
+            value = _CONSTANTS.get(node.id)
+            return lambda x, t: value
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            value = np.float64(node.value)
+            return lambda x, t: value
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _OPS:
+            fn = _OPS[type(node.op)]
+            args = ((node.operand,) if isinstance(node, ast.UnaryOp)
+                    else (node.left, node.right))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and not node.keywords:
+            fn, arity = _FUNCS.get(node.func.id, (None, None))
+            if fn is None:
+                bad.add(node.func.id)
+            elif len(node.args) not in arity:
+                raise InvalidParams(
+                    f"expression does not parse: {node.func.id} takes "
+                    f"{' or '.join(map(str, arity))} argument(s), "
+                    f"got {len(node.args)}")
+            args = node.args
+        else:
+            if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+                node = node.op
+            raise InvalidParams(
+                f"expression uses unsupported syntax ({type(node).__name__});"
+                f" allowed are numbers, pi, E, {space}, {time}, + - * / ** ^ "
+                "and calls to the supported functions")
+        parts = [build(arg, depth + 1) for arg in args]
+        return lambda x, t: fn(*[part(x, t) for part in parts])
+
+    try:
+        fn = build(ast.parse(text.replace("^", "**"), mode="eval").body, 0)
+    except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
+        raise InvalidParams(f"expression is not a formula: {exc}") from None
+    if bad:
+        raise InvalidParams(
+            f"functions {sorted(bad)} are outside the supported basis")
+    if free:
+        raise InvalidParams(
+            f"unknown symbols in expression: {{{', '.join(sorted(free))}}}")
+    return fn
 
 
 class ClosedForm:
     """A closed form in (space, time) usable as a vectorized sampler.
 
-    ``expr`` is a sympy expression or its source text; ``space`` and
-    ``time`` are sympy symbols or the names of real ones.  Text is parsed
-    by sympy (``coth`` included) and lambdified on first use, so building
-    a ClosedForm does not import sympy.
+    ``expr`` is ``compile_formula`` text or a sympy expression, sampled
+    through its ``sstr`` text; ``space`` and ``time`` are names or sympy
+    symbols.  Only ``expr`` and ``derivative`` import sympy, and
+    ``derivative(1)`` does not if ``slope`` gives its text.
     """
 
-    def __init__(self, expr, space, time, name: str = ""):
+    def __init__(self, expr, space, time, name: str = "", slope=None):
         self.name = name
         self._source = (expr, space, time)
-        self._dfns = {}
+        self._dfns = {1: ClosedForm(slope, space, time)} if slope else {}
+
+    @functools.cached_property
+    def text(self) -> str:
+        if isinstance(self._source[0], str):
+            return self._source[0]
+        import sympy as sp
+        return sp.sstr(self._source[0], full_prec=True)
+
+    @functools.cached_property
+    def sampler(self):
+        """The compiled numpy function of (space, time)."""
+        return compile_formula(self.text, *map(str, self._source[1:]))
 
     @functools.cached_property
     def _parsed(self):
-        """(expr, space, time, lambdified sampler), built once."""
+        """(expr, space, time) as sympy objects, built once."""
         import sympy as sp
         expr, *syms = self._source
         space, time = (sp.Symbol(v, real=True) if isinstance(v, str) else v
                        for v in syms)
-        expr = sp.sympify(expr, locals={space.name: space, time.name: time,
-                                        "coth": sp.coth})
-        return expr, space, time, sp.lambdify((space, time), expr,
-                                              modules="numpy")
+        return sp.sympify(expr, locals={space.name: space, time.name: time,
+                                        "coth": sp.coth}), space, time
 
-    @property
-    def expr(self):
-        return self._parsed[0]
-
-    @property
-    def space(self):
-        return self._parsed[1]
-
-    @property
-    def time(self):
-        return self._parsed[2]
+    expr = property(lambda self: self._parsed[0])
+    space = property(lambda self: self._parsed[1])
+    time = property(lambda self: self._parsed[2])
 
     def __call__(self, pts, t):
-        out = self._parsed[3](np.asarray(pts, dtype=float), t)
-        return np.broadcast_to(np.asarray(out, dtype=float),
-                               np.shape(pts)).copy()
+        with np.errstate(all="ignore"):  # inf and nan: the caller refuses
+            out = self.sampler(np.asarray(pts, dtype=float),
+                               np.asarray(t, dtype=float))
+        return np.broadcast_to(out, np.shape(pts)).copy()
 
     def derivative(self, order: int = 1) -> "ClosedForm":
         """Exact spatial derivative, built once per order."""
@@ -426,7 +507,7 @@ class ClosedForm:
         return self._dfns[order]
 
     def __repr__(self):
-        return f"ClosedForm({self.name or self.expr})"
+        return f"ClosedForm({self.name or self.text})"
 
 
 def wick_transform(kind: FlowKind, euclid: ClosedForm,
@@ -441,9 +522,7 @@ def wick_transform(kind: FlowKind, euclid: ClosedForm,
     if kind not in (FlowKind.GRAPH_Y, FlowKind.CURVATURE_ANGLE):
         raise ValueError("transform applies to graph_y or curvature_angle")
     pts = np.asarray(probe_points, dtype=float)
-    with np.errstate(invalid="ignore"):
-        left = euclid(pts, probe_t)
-        right = euclid(-pts, probe_t)
+    left, right = euclid(pts, probe_t), euclid(-pts, probe_t)
     finite = np.isfinite(left) & np.isfinite(right)
     if np.count_nonzero(finite) < 2:
         raise ValueError(

@@ -264,11 +264,16 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def write_curve_csv(curve: Curve, path):
-    cols = [getattr(curve, name).tolist() for name in CSV_HEADER.split(",")]
+def _write_csv(path, header: str, cols):
+    """``header``, then one ``%.17g`` row per index of the ``cols`` arrays."""
     row = ",".join(["%.17g"] * len(cols))
-    rows = [row % vals for vals in zip(*cols)]
-    _atomic_write(path, "\n".join([CSV_HEADER, *rows]) + "\n")
+    rows = [row % vals for vals in zip(*[c.tolist() for c in cols])]
+    _atomic_write(path, "\n".join([header, *rows]) + "\n")
+
+
+def write_curve_csv(curve: Curve, path):
+    _write_csv(path, CSV_HEADER,
+               [getattr(curve, name) for name in CSV_HEADER.split(",")])
 
 
 def read_curve_csv(path) -> Curve:

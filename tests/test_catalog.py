@@ -134,6 +134,50 @@ def test_wick_pairing():
         assert diff == 0, (name, out.expr, partner.form.expr)
 
 
+def test_stored_text_is_canonical():
+    """Expressions, profiles and first derivatives are stored as sstr."""
+    for name in ALL_NAMES:
+        e = catalog.get(name)
+        slope = [e.form.derivative(1)] if e.finite_length else []
+        for form in [e.form, e.curvature_profile.form, *slope]:
+            assert sp.sstr(form.expr) == form.text, (name, form.text)
+
+
+def test_stored_slope_is_first_derivative():
+    for name in ALL_NAMES:
+        e = catalog.get(name)
+        if e.finite_length:
+            assert e.form.derivative(1).text == \
+                sp.sstr(sp.diff(e.form.expr, e.form.space)), name
+
+
+def test_compiled_samples_match_lambdify():
+    """The compiled formula gives lambdify's bits on the residual probes
+    of every entry and on the length grid of every finite-length one."""
+    lengths = {nm: catalog.LENGTH_GRIDS[lb]
+               for lb, (nm, _) in catalog.LENGTH_SERIES.items()}
+    for name in ALL_NAMES:
+        e = catalog.get(name)
+        probes = []
+        for h in catalog.DEFAULT_LEVELS:
+            for t in e.times:
+                lo, hi = e.window(t)
+                pts = lo + h * np.arange(-1, math.floor((hi - lo) / h) + 2)
+                probes += [(e.form, pts, t + dt) for dt in (-h, 0.0, h)]
+        if e.finite_length:
+            ts = np.linspace(*lengths[name], 50)[:, None]
+            lo, hi = np.vectorize(e.length_bounds or (lambda _: (-20.0, 20.0)),
+                                  otypes=[float, float])(ts)
+            probes.append((e.form.derivative(1),
+                           lo + (hi - lo) * np.linspace(0.0, 1.0, 201), ts))
+        for form, pts, t in probes:
+            ref = sp.lambdify((form.space, form.time), form.expr, "numpy")
+            with np.errstate(all="ignore"):
+                want = np.broadcast_to(ref(pts, t), np.shape(pts))
+                assert np.array_equal(form(pts, t), want, equal_nan=True), \
+                    (name, form.text, t)
+
+
 def test_boundary_behaviour_interp_tan():
     # near t = 0+ the solution tracks xi = 2 t tan(eta)
     e = catalog.get("interp-tan")

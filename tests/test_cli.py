@@ -206,6 +206,8 @@ class TestEvolveCommand:
         ("-x^2/4 + coth(t+2)", lambda x, t: -x ** 2 / 4 + 1 / np.tanh(t + 2)),
         ("cos(pi*x) + E", lambda x, t: np.cos(np.pi * x) + np.e),
         ("log(x+3, 2)", lambda x, t: np.log(x + 3) / np.log(2)),
+        # ^ is **, so it binds tighter than * and /
+        ("0.3*x^2/4", lambda x, t: 0.3 * x ** 2 / 4),
     ])
     def test_expression_accepted(self, text, ref):
         xs = np.linspace(0.1, 0.9, 5)
@@ -226,6 +228,9 @@ class TestEvolveCommand:
         ("zeta(x)", "functions ['zeta'] are outside the supported basis"),
         ("sqrt(x+2, t)", "sqrt takes 1 argument(s), got 2"),
         ("log(x, 2, 3)", "log takes 1 or 2 argument(s), got 3"),
+        # Deep enough to exhaust Python's recursion limit if it were run.
+        pytest.param("+".join(["x"] * 495), "nests more than 100 levels deep",
+                     id="x+x+...+x (495 terms)"),
     ])
     def test_expression_refused(self, text, words):
         with pytest.raises(InvalidParams, match=re.escape(words)):
@@ -250,6 +255,19 @@ class TestEvolveCommand:
                     "--t1", "0.1", "--out", str(tmp_path)])
         assert code == 2
         assert "values must be finite" in capsys.readouterr().err
+
+    # Every number is a float64, so these are inf or nan, not a Python
+    # exception or a complex value whose imaginary part is dropped.
+    @pytest.mark.parametrize("text", ["1/0+x", "10**400*x",
+                                      "0.3*x+log(-1)", "0.3*x+(-1)**0.5"])
+    def test_values_not_real_and_finite_refused(self, tmp_path, capsys,
+                                                text):
+        code = run(["evolve", f"expr:{text}", "--t1", "0.01",
+                    "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "ValueError: flow grid values must be finite\n"
+        assert not (tmp_path / "ev").exists()
 
     def test_non_finite_state_exit(self, tmp_path, capsys):
         code = run(["evolve", "expr:0.3*x+0.001*sqrt(0.05-t)", "--window",
@@ -425,6 +443,15 @@ class TestCatalogCommand:
         assert run(["catalog", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"InvalidParams: {words}\n"
+        assert captured.out == ""
+
+    # --points sets the length series' samples; list and show take none.
+    @pytest.mark.parametrize("argv", [["list"], ["show", "translator-y"]])
+    def test_ignored_points_refused(self, capsys, argv):
+        assert run(["catalog", *argv, "--points", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"InvalidParams: catalog {argv[0]} takes no --points\n"
         assert captured.out == ""
 
     def test_lengths_unknown_name_exit_code(self, capsys):
@@ -785,7 +812,9 @@ class TestColdStart:
             assert mod not in loaded
 
     @pytest.mark.parametrize("argv", [["catalog", "list"],
-                                      ["plot", "curve.csv"]])
+                                      ["plot", "curve.csv"],
+                                      ["catalog", "show", "oval-coshcosh"],
+                                      ["verify", "--all"]])
     def test_light_commands(self, tmp_path, argv):
         xs = np.linspace(-1.0, 1.0, 21)
         geometry.write_curve_csv(
@@ -794,3 +823,20 @@ class TestColdStart:
         code = ("import sys\nfrom minkflow.cli import main\n"
                 f"assert main({argv!r}) == 0")
         assert self.loaded(code, tmp_path) == []
+
+    # Sampling a closed form compiles its text to numpy: no command that
+    # only samples one loads sympy.  The --dt refusal loads no scipy either.
+    @pytest.mark.parametrize("argv, rc, heavy", [
+        (["evolve", "hyperbola-expander", "--t0", "0.5", "--t1", "2",
+          "--dt", "0.1"], 3, []),
+        (["catalog", "lengths", "--all", "--points", "3"], 0, ["scipy"]),
+        (["evolve", "hyperbola-expander", "--t0", "0.5", "--t1", "0.52",
+          "--dx", "0.1", "--window", "-1", "1"], 0, ["scipy"]),
+        (["evolve", "expr:0.3*x^2/4 + coth(t+2)", "--t1", "0.01",
+          "--dx", "0.1", "--window", "-1", "1"], 0, ["scipy"]),
+    ])
+    def test_sympy_free_commands(self, tmp_path, argv, rc, heavy):
+        code = ("import sys\nfrom minkflow.cli import main\n"
+                f"assert main({argv!r}) == {rc}")
+        loaded = self.loaded(code, tmp_path)
+        assert sorted({m.split(".")[0] for m in loaded}) == heavy
