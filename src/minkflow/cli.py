@@ -54,6 +54,9 @@ def _initial_grid(args) -> tuple[FlowGrid, object]:
         raise InvalidParams(f"--window takes two finite numbers, not "
                             f"{window[0]:g} {window[1]:g}")
     n = int(round((window[1] - window[0]) / args.dx)) + 1
+    if n < 5:
+        raise InvalidParams(f"--dx {args.dx:g} over --window {window[0]:g} "
+                            f"{window[1]:g} gives {n} nodes; the flow needs 5")
     nodes = np.linspace(window[0], window[1], n)
     kind = FlowKind(args.kind)
     graph = geometry._GRAPH_FORMS[args.kind]
@@ -94,8 +97,9 @@ def cmd_evolve(args) -> int:
            "boundary": args.boundary}
     _count("--snapshots", args.snapshots)
     grid, bc = _initial_grid(args)
-    if args.boundary == "frozen":
-        bc = None
+    if not args.t0 <= args.t1 < math.inf:
+        raise InvalidParams(f"--t1 must be finite and not precede --t0, not "
+                            f"--t0 {args.t0:g} --t1 {args.t1:g}")
     if args.dt is not None:
         bound = flow.stability_dt(grid)
         if args.dt > bound * (1.0 + 1e-9):
@@ -105,8 +109,8 @@ def cmd_evolve(args) -> int:
                 f"{bound:.3e} of the initial grid")
     every = (args.t1 - grid.t) / max(1, args.snapshots - 1) \
         if args.snapshots > 1 else None
-    snaps = flow.evolve(grid, args.t1, snapshot_every=every, boundary=bc,
-                        max_dt=args.dt)
+    snaps = flow.evolve(grid, args.t1, snapshot_every=every, max_dt=args.dt,
+                        boundary=None if args.boundary == "frozen" else bc)
     curves = []
     to_xy = geometry._GRAPH_FORMS[grid.kind.value].to_xy
     for i, g in enumerate(snaps):
@@ -154,8 +158,7 @@ def _run_trajectory(args):
     p = SolitonParams(args.a, args.b)
     init = _numbers("--init", args.init, (2, 3))
     chart = Chart.TAU_NU if args.chart == "taunu" else Chart.KL
-    traj = selfsim.integrate_phase(p, chart, init, s_max=args.s_max)
-    return p, traj
+    return p, selfsim.integrate_phase(p, chart, init, s_max=args.s_max)
 
 
 def cmd_selfsim(args) -> int:
@@ -176,8 +179,7 @@ def cmd_selfsim(args) -> int:
 
 def cmd_classify(args) -> int:
     p, traj = _run_trajectory(args)
-    report = selfsim.classify(p, traj)
-    text = _json_dumps(dataclasses.asdict(report))
+    text = _json_dumps(dataclasses.asdict(selfsim.classify(p, traj)))
     if args.out:
         _atomic_write(os.path.join(args.out, "classification.json"), text)
     sys.stdout.write(text)
@@ -185,8 +187,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.all and args.names:
-        raise InvalidParams("pass --all or --names, not both")
     names = catalog.names() if args.all else (args.names or "").split(",")
     names = [n for n in names if n]
     if not names:
@@ -205,36 +205,28 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r["passed"] for r in payload) else EXIT_NUMERICAL
 
 
-def cmd_catalog(args) -> int:
-    if args.action != "lengths" and (args.all or args.points is not None):
-        flag = "--all" if args.all else "--points"
-        raise InvalidParams(f"catalog {args.action} takes no {flag}")
-    if args.action == "list":
-        if args.name is not None:
-            raise InvalidParams(f"catalog list takes no NAME: {args.name!r}")
-        for name in catalog.names():
-            e = catalog.get(name)
-            print(f"{name:<20} {e.plane.value:<10} {e.kind.value:<16} "
-                  f"t in ({e.t_domain[0]:g}, {e.t_domain[1]:g})")
-        return EXIT_OK
-    if args.action == "show":
-        if args.name is None:
-            raise InvalidParams("catalog show needs a NAME (catalog list)")
-        e = catalog.get(args.name)
-        info = {"name": e.name, "plane": e.plane.value, "kind": e.kind.value,
-                "t_domain": [e.t_domain[0], e.t_domain[1]],
-                "expression": e.form.text,
-                "curvature_profile": None if e.curvature_profile is None
-                else e.curvature_profile.form.text,
-                "finite_length": e.finite_length, "notes": e.notes,
-                "wick_partner": e.wick_partner}
-        sys.stdout.write(_json_dumps(info))
-        return EXIT_OK
-    points = 50 if args.points is None else args.points
-    _count("--points", points)
-    if args.all and args.name is not None:
-        raise InvalidParams(f"catalog lengths takes NAME or --all, not "
-                            f"both: {args.name!r}")
+def cmd_catalog_list(args) -> int:
+    for name in catalog.names():
+        e = catalog.get(name)
+        print(f"{name:<20} {e.plane.value:<10} {e.kind.value:<16} "
+              f"t in ({e.t_domain[0]:g}, {e.t_domain[1]:g})")
+    return EXIT_OK
+
+
+def cmd_catalog_show(args) -> int:
+    e = catalog.get(args.name)
+    info = {"name": e.name, "plane": e.plane.value, "kind": e.kind.value,
+            "t_domain": list(e.t_domain), "expression": e.form.text,
+            "curvature_profile": None if e.curvature_profile is None
+            else e.curvature_profile.form.text,
+            "finite_length": e.finite_length, "notes": e.notes,
+            "wick_partner": e.wick_partner}
+    sys.stdout.write(_json_dumps(info))
+    return EXIT_OK
+
+
+def cmd_catalog_lengths(args) -> int:
+    _count("--points", args.points)
     series_of = {nm: lb for lb, (nm, _) in catalog.LENGTH_SERIES.items()}
     if not args.name:
         labels = list(catalog.LENGTH_SERIES)
@@ -247,7 +239,7 @@ def cmd_catalog(args) -> int:
     for lb in labels:
         name, _ = catalog.LENGTH_SERIES[lb]
         lo, hi = catalog.LENGTH_GRIDS[lb]
-        series = catalog.length_vs_time(name, np.linspace(lo, hi, points))
+        series = catalog.length_vs_time(name, np.linspace(lo, hi, args.points))
         rows += [f"{lb},{name},{t:.17g},{val:.17g}" for t, val in series]
     text = "\n".join(rows) + "\n"
     if args.out:
@@ -296,8 +288,7 @@ def cmd_invariant(args) -> int:
 def cmd_plot(args) -> int:
     curves, labels = [], []
     for path in args.csv:
-        curve = geometry.read_curve_csv(path)
-        curves.append(curve.points)
+        curves.append(geometry.read_curve_csv(path).points)
         labels.append(os.path.basename(path))
     cfg = {"cmd": "plot", "inputs": [os.path.basename(p) for p in args.csv]}
     doc = svg.render(curves, labels=labels, config_hash=_config_hash(cfg))
@@ -308,27 +299,28 @@ def cmd_plot(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="minkflow",
+        prog="minkflow", allow_abbrev=False,
         description="curvature flow of space-like curves in the "
                     "split-signature plane")
     ap.add_argument("--config", help="JSON file of option values for the "
                                      "chosen subcommand")
-    ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--tol", type=float, default=None,
-                    help="tolerance override where the subcommand uses one")
-    # The global flags are accepted after the subcommand as well; the
-    # SUPPRESS defaults keep them from clobbering values parsed earlier.
-    common = argparse.ArgumentParser(add_help=False)
-    for flag, kw in (("--config", {}), ("--out", {}),
-                     ("--tol", {"type": float})):
-        common.add_argument(flag, default=argparse.SUPPRESS, **kw)
-    sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=lambda **kw: argparse.ArgumentParser(
-                                parents=[common], **kw))
+    sub = ap.add_subparsers(dest="command", required=True)
 
-    ev = sub.add_parser("evolve", help="run the flow from an initial curve")
-    ev.add_argument("initial",
-                    help="catalog name, csv:PATH, or expr:FORMULA")
+    def command(group, name, func, help, out=False, tol=False):
+        """A leaf command; ``out`` is the --out default, False for none."""
+        p = group.add_parser(name, help=help, allow_abbrev=False)
+        # --config may follow the command; SUPPRESS keeps an earlier value.
+        p.add_argument("--config", default=argparse.SUPPRESS)
+        if out is not False:
+            p.add_argument("--out", default=out, help="output directory")
+        if tol:
+            p.add_argument("--tol", type=float, help="tolerance override")
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    ev = command(sub, "evolve", cmd_evolve,
+                 "run the flow from an initial curve", out="out")
+    ev.add_argument("initial", help="catalog name, csv:PATH, or expr:FORMULA")
     ev.add_argument("--kind", default="graph_y",
                     choices=list(geometry._GRAPH_FORMS))
     ev.add_argument("--t0", type=float, default=0.0)
@@ -342,46 +334,51 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--snapshots", type=int, default=4)
     ev.add_argument("--boundary", default="exact",
                     choices=("exact", "frozen"))
-    ev.set_defaults(func=cmd_evolve)
 
-    for name, fn in (("selfsim", cmd_selfsim), ("classify", cmd_classify)):
-        sp_ = sub.add_parser(name, help=f"{name} a soliton trajectory")
+    for name, fn, out in (("selfsim", cmd_selfsim, "out"),
+                          ("classify", cmd_classify, None)):
+        sp_ = command(sub, name, fn, f"{name} a soliton trajectory", out=out)
         sp_.add_argument("--a", type=float, required=True)
         sp_.add_argument("--b", type=float, required=True)
         sp_.add_argument("--chart", default="taunu", choices=("taunu", "kl"))
         sp_.add_argument("--init", default="0,-1")
         sp_.add_argument("--s-max", type=float, default=20.0)
-        sp_.set_defaults(func=fn)
 
-    ve = sub.add_parser("verify", help="residual-verify catalog entries")
+    # Not required: --config may set --all or --names.
+    ve = command(sub, "verify", cmd_verify, "residual-verify catalog entries",
+                 out=None, tol=True).add_mutually_exclusive_group()
     ve.add_argument("--all", action="store_true")
     ve.add_argument("--names")
-    ve.set_defaults(func=cmd_verify)
 
     ca = sub.add_parser("catalog", help="query the exact-solution registry")
-    ca.add_argument("action",
-                    choices=("list", "show", "lengths"))
-    ca.add_argument("name", nargs="?")
-    ca.add_argument("--all", action="store_true")
-    ca.add_argument("--points", type=int)  # lengths only; 50 if not given
-    ca.set_defaults(func=cmd_catalog)
+    ca = ca.add_subparsers(dest="action", required=True)
+    command(ca, "list", cmd_catalog_list, "list the registry")
+    command(ca, "show", cmd_catalog_show,
+            "show one entry").add_argument("name")
+    ln = command(ca, "lengths", cmd_catalog_lengths,
+                 "length-vs-time series", out=None)
+    ln.add_argument("--points", type=int, default=50)
+    which = ln.add_mutually_exclusive_group()
+    which.add_argument("name", nargs="?")
+    which.add_argument("--all", action="store_true")
 
     iv = sub.add_parser("invariant", help="invariant-curve tools")
-    iv.add_argument("action", choices=("make", "check"))
-    iv.add_argument("--kind", required=True,
-                    choices=[k.value for k in invariants.InvariantKind])
-    iv.add_argument("--params", help="JSON dict of kind parameters")
-    iv.add_argument("--span", type=float, nargs=2, default=(0.1, 8.0))
-    iv.add_argument("--n", type=int, default=20001)
-    iv.add_argument("--t-probe", default="0.1,0.5,1.0")
-    iv.add_argument("--probe-fraction", type=float, nargs=2,
+    iv = iv.add_subparsers(dest="action", required=True)
+    for action, out in (("make", "out"), ("check", None)):
+        ip = command(iv, action, cmd_invariant, f"{action} an invariant curve",
+                     out=out, tol=action == "check")
+        ip.add_argument("--kind", required=True,
+                        choices=[k.value for k in invariants.InvariantKind])
+        ip.add_argument("--params", help="JSON dict of kind parameters")
+        ip.add_argument("--span", type=float, nargs=2, default=(0.1, 8.0))
+        ip.add_argument("--n", type=int, default=20001)
+    ip.add_argument("--t-probe", default="0.1,0.5,1.0")  # ip is check's
+    ip.add_argument("--probe-fraction", type=float, nargs=2,
                     default=(0.15, 0.85))
-    iv.set_defaults(func=cmd_invariant)
 
-    pl = sub.add_parser("plot", help="overlay curve CSVs as SVG")
+    pl = command(sub, "plot", cmd_plot, "overlay curve CSVs as SVG")
     pl.add_argument("csv", nargs="+")
     pl.add_argument("--out-file", default="plot.svg")
-    pl.set_defaults(func=cmd_plot)
     return ap
 
 
@@ -405,35 +402,38 @@ def _config_value(action, val):
     return one(val)
 
 
-def _apply_config(ap, args):
+def _apply_config(args):
     """Set the chosen subcommand's options from the --config JSON object."""
     with open(args.config) as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
         raise InvalidParams("--config must hold a JSON object")
-    sub = next(a for a in ap._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = {a.dest: a for a in sub.choices[args.command]._actions
+    options = {a.dest: a for a in args.parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
     for key, val in values.items():
         action = options.get(key.replace("-", "_"))
         if action is None:
             raise InvalidParams(
-                f"--config key {key!r} is not an option of {args.command}; "
+                f"--config key {key!r} is not an option of "
+                f"{args.parser.prog.partition(' ')[2]}; "
                 f"expected one of {sorted(options)}")
         try:
             setattr(args, action.dest, _config_value(action, val))
         except (TypeError, ValueError) as exc:
             raise InvalidParams(f"--config key {key!r} has a bad value "
                                 f"{val!r}: {exc}") from None
+    for group in args.parser._mutually_exclusive_groups:
+        given = " and ".join(a.dest for a in group._group_actions
+                             if getattr(args, a.dest) != a.default)
+        if " and " in given:
+            raise InvalidParams(f"--config: {given} exclude each other")
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.config:
-            _apply_config(ap, args)
+            _apply_config(args)
         return args.func(args)
     except UnknownSolution as exc:
         print(f"UnknownSolution: {exc}", file=sys.stderr)

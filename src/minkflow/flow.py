@@ -564,6 +564,6 @@ def ecker_gap(t: float, x_probe: float = 20.0) -> float:
 
 
 def ecker_crossing_time(x_probe: float = 20.0) -> float:
-    """Time at which the asymptotic gap changes sign (= log 2)."""
-    from scipy.optimize import brentq
-    return float(brentq(lambda t: ecker_gap(t, x_probe), 0.3, 1.2, xtol=1e-14))
+    """Time at which the asymptotic gap changes sign (= log 2); the gap is
+    linear in t, so this is its root in closed form."""
+    return x_probe - log_cosh(x_probe)

@@ -22,6 +22,14 @@ def run(argv):
     return main(argv)
 
 
+def exit_code(argv):
+    """The code main returns, or the one argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 # `catalog show` text of every registry entry: (expression, profile).
 SHOWN_FORMS = {
     "translator-y": ("t + log(cosh(x))", "cosh(theta)"),
@@ -396,6 +404,20 @@ class TestEvolveCommand:
         assert "--config key 'kind' has a bad value" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, words", [
+        (["hyperbola-expander", "--t0", "0.5", "--t1", "0.4"],
+         "--t1 must be finite and not precede --t0, not --t0 0.5 --t1 0.4"),
+        (["expr:x*0.3", "--t1", "inf"],
+         "--t1 must be finite and not precede --t0, not --t0 0 --t1 inf"),
+        (["expr:x*0.3", "--t1", "0.01", "--dx", "1", "--window", "-1", "1"],
+         "--dx 1 over --window -1 1 gives 3 nodes; the flow needs 5")])
+    def test_bad_times_or_too_few_nodes_refused(self, tmp_path, capsys, argv,
+                                                words):
+        out = tmp_path / "ev"
+        assert run(["evolve", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"InvalidParams: {words}\n"
+        assert not out.exists()
+
     def test_svg_determinism(self, tmp_path):
         args = ["evolve", "translator-y", "--t1", "0.05", "--dx", "0.05",
                 "--window", "-1", "1", "--snapshots", "2"]
@@ -421,37 +443,37 @@ class TestCatalogCommand:
         assert run(["catalog", "show", "nope"]) == 4
 
     @pytest.mark.parametrize("argv, words", [
-        (["show"], "catalog show needs a NAME (catalog list)"),
-        (["list", "translator-y"], "catalog list takes no NAME: 'translator-y'"),
+        (["show"], "the following arguments are required: name"),
+        (["list", "translator-y"], "unrecognized arguments: translator-y"),
         (["lengths", "translator-x"],
          "translator-x has no finite-length series; those with one: "
          "translator-y, screw-tanh, wave-sinhsinh, wave-coshsinh, "
          "oval-coshcosh, interp-tan")])
     def test_name_checked_per_action(self, capsys, argv, words):
-        assert run(["catalog", *argv]) == 2
+        assert exit_code(["catalog", *argv]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"InvalidParams: {words}\n"
+        assert captured.err.endswith(f": {words}\n")
         assert captured.out == ""
 
     # --all names every length series; list and show take no --all.
     @pytest.mark.parametrize("argv, words", [
-        (["list", "--all"], "catalog list takes no --all"),
-        (["show", "translator-y", "--all"], "catalog show takes no --all"),
+        (["list", "--all"], "unrecognized arguments: --all"),
+        (["show", "translator-y", "--all"], "unrecognized arguments: --all"),
         (["lengths", "translator-y", "--all"],
-         "catalog lengths takes NAME or --all, not both: 'translator-y'")])
+         "argument --all: not allowed with argument name")])
     def test_ignored_all_refused(self, capsys, argv, words):
-        assert run(["catalog", *argv]) == 2
+        assert exit_code(["catalog", *argv]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"InvalidParams: {words}\n"
+        assert captured.err.endswith(f"error: {words}\n")
         assert captured.out == ""
 
     # --points sets the length series' samples; list and show take none.
     @pytest.mark.parametrize("argv", [["list"], ["show", "translator-y"]])
     def test_ignored_points_refused(self, capsys, argv):
-        assert run(["catalog", *argv, "--points", "0"]) == 2
+        assert exit_code(["catalog", *argv, "--points", "0"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == \
-            f"InvalidParams: catalog {argv[0]} takes no --points\n"
+        assert captured.err.endswith(
+            "minkflow: error: unrecognized arguments: --points 0\n")
         assert captured.out == ""
 
     def test_lengths_unknown_name_exit_code(self, capsys):
@@ -484,11 +506,12 @@ class TestVerifyCommand:
     def test_all_and_names_refused(self, tmp_path, capsys):
         # --all used to win, and bogus was never checked.
         out = tmp_path / "v"
-        assert run(["verify", "--all", "--names", "bogus",
-                    "--out", str(out)]) == 2
+        assert exit_code(["verify", "--all", "--names", "bogus",
+                          "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == \
-            "InvalidParams: pass --all or --names, not both\n"
+        assert captured.err.endswith("minkflow verify: error: argument "
+                                     "--names: not allowed with argument "
+                                     "--all\n")
         assert captured.out == "" and not out.exists()
 
     def test_subset(self, tmp_path, capsys):
@@ -525,23 +548,27 @@ class TestInvariantCommand:
         assert payload["passed"] and payload["deviation"] < 1e-8
 
 
-    # span and probe window of each kind, sampled wider than the window
-    # its motion maps the probes into
+    # span of each kind, sampled wider than the window its motion maps
+    # the probes into, and the probe window that check takes
     KIND_ARGS = {
-        "line": ["--span", "-10", "10", "--probe-fraction", "0.3", "0.7"],
+        "line": ["--span", "-10", "10"],
         "hyperbola": ["--params", '{"radius": 1.0}', "--span", "-4", "4"],
         "mink-log-spiral": ["--params", '{"alpha": 0.5}', "--span", "0.05",
-                            "12", "--probe-fraction", "0.05", "0.45"],
-        "exp-diagonal": ["--span", "-6", "2.5",
-                         "--probe-fraction", "0.1", "0.55"],
+                            "12"],
+        "exp-diagonal": ["--span", "-6", "2.5"],
+    }
+    PROBE_ARGS = {
+        "line": ["--probe-fraction", "0.3", "0.7"],
+        "mink-log-spiral": ["--probe-fraction", "0.05", "0.45"],
+        "exp-diagonal": ["--probe-fraction", "0.1", "0.55"],
     }
 
     @pytest.mark.parametrize("kind", [k.value for k in InvariantKind])
     def test_every_kind_makes_and_checks(self, tmp_path, capsys, kind):
-        argv = ["--kind", kind, *self.KIND_ARGS.get(kind, ()),
-                "--out", str(tmp_path)]
+        argv = ["--kind", kind, *self.KIND_ARGS[kind], "--out", str(tmp_path)]
         assert run(["invariant", "make", *argv]) == 0
-        assert run(["invariant", "check", *argv]) == 0
+        assert run(["invariant", "check", *argv,
+                    *self.PROBE_ARGS.get(kind, ())]) == 0
         payload = json.loads((tmp_path / "invariance.json").read_text())
         assert payload["passed"]
 
@@ -639,6 +666,49 @@ def test_bad_tol_refused(tmp_path, capsys, argv, tol):
     assert (f"InvalidParams: --tol must be positive and finite, not {tol}"
             in captured.err)
     assert captured.out == "" and not out.exists()
+
+
+# Each command declares only the options it reads; any other is refused
+# before the command runs.
+@pytest.mark.parametrize("argv, extra", [
+    (["evolve", "hyperbola-expander", "--t1", "0.6"], ["--tol", "nan"]),
+    (["selfsim", "--a", "0", "--b", "1"], ["--tol", "nan"]),
+    (["classify", "--a", "0", "--b", "1"], ["--tol", "nan"]),
+    (["catalog", "list"], ["--tol", "nan"]),
+    (["catalog", "show", "translator-y"], ["--tol", "nan"]),
+    (["catalog", "lengths", "translator-y"], ["--tol", "nan"]),
+    (["plot", "curve.csv"], ["--tol", "nan"]),
+    (["catalog", "list"], ["--out", "d"]),
+    (["catalog", "show", "translator-y"], ["--out", "d"]),
+    (["plot", "curve.csv"], ["--out", "d"]),
+    (["invariant", "make", "--kind", "hyperbola"], ["--t-probe", "nonsense"]),
+    (["invariant", "make", "--kind", "hyperbola"],
+     ["--probe-fraction", "5", "9"]),
+    (["invariant", "make", "--kind", "hyperbola"], ["--tol", "nan"])])
+def test_option_of_another_command_refused(tmp_path, monkeypatch, capsys,
+                                           argv, extra):
+    monkeypatch.chdir(tmp_path)
+    assert exit_code([*argv, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(
+        f"error: unrecognized arguments: {' '.join(extra)}\n")
+    assert captured.out == "" and not list(tmp_path.iterdir())
+
+
+def test_optional_output_stays_on_stdout(tmp_path, monkeypatch, capsys):
+    # Without --out these commands write no file, not even to out/.
+    monkeypatch.chdir(tmp_path)
+    assert run(["classify", "--a", "0", "--b", "1", "--s-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["crosses_xi"] is not None
+    assert run(["verify", "--names", "translator-y"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert run(["catalog", "lengths", "translator-y", "--points", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "series,name,t,length" and len(rows) == 4
+    assert run(["invariant", "check", "--kind", "hyperbola",
+                "--span", "-4", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv, words", [
@@ -755,6 +825,29 @@ class TestConfigFile:
             assert code == 2
             assert f"--config key {key!r} is not an option of classify" \
                 in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, argv", [
+        ("points", ["catalog", "list"]),
+        ("t_probe", ["invariant", "make", "--kind", "line"]),
+        ("tol", ["invariant", "make", "--kind", "line"])])
+    def test_nested_command_named(self, tmp_path, capsys, key, argv):
+        assert self.run_config(tmp_path, {key: 1}, argv) == 2
+        assert (f"--config key {key!r} is not an option of "
+                f"{' '.join(argv[:2])}; expected one of ") \
+            in capsys.readouterr().err
+
+    # The mutually exclusive options stay exclusive when --config sets one.
+    @pytest.mark.parametrize("values, argv, words", [
+        ({"all": True}, ["catalog", "lengths", "translator-y"],
+         "name and all exclude each other"),
+        ({"names": "translator-y"}, ["verify", "--all"],
+         "all and names exclude each other")])
+    def test_exclusive_options_refused(self, tmp_path, capsys, values, argv,
+                                       words):
+        assert self.run_config(tmp_path, values, argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"InvalidParams: --config: {words}\n"
+        assert captured.out == ""
 
     def test_method_key_refused(self, tmp_path, capsys):
         code = self.run_config(tmp_path, {"method": "Radau"},
