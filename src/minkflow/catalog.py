@@ -1,12 +1,13 @@
 """Registry of closed-form flow solutions.
 
 Twelve solutions of the split-signature flow and four of the Euclidean
-curve-shortening flow.  Each stores sympy's canonical text (``sstr``,
-which ``catalog show`` prints) of its closed form in the graph variable
-(``x``, or eta for lightcone entries) and time ``t``, of its curvature
-profile and, for the six finite-length entries, of its first derivative.
-Residuals, lengths and boundary values sample the text compiled to numpy;
-only the curvature-profile check derives with sympy.
+curve-shortening flow.  Each holds ``ClosedForm``s of sympy's canonical
+text (``sstr``, which ``catalog show`` prints): its closed form in the
+graph variable (``x``, or eta for lightcone entries) and time ``t``, its
+curvature profile and, for the six finite-length entries, its first
+derivative ``slope``.  Residuals, lengths and boundary values sample the
+text compiled to numpy; only the curvature-profile check derives with
+sympy, once per entry.
 
 Canonical names: translator-y, translator-x, translator-xi,
 hyperbola-expander, screw-tanh, screw-tan, screw-coth, oval-coshcosh,
@@ -16,13 +17,14 @@ euclid-reaper, euclid-oval, euclid-wave.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InfiniteLength, NoProfile, UnknownSolution
+from .errors import InfiniteLength, UnknownSolution
 from .flow import (ClosedForm, FlowKind, Plane, ResidualReport, _level,
                    _operator, residual)
 from .geometry import _GRAPH_FORMS
@@ -33,10 +35,9 @@ ORDER_TARGET, ORDER_TOL = 2.0, 0.3
 
 @dataclass
 class CurvatureProfile:
-    """Closed-form k(theta, t), with its own time domain and theta window."""
+    """Closed-form k(theta, t), with its own probe times and theta window."""
 
     form: ClosedForm
-    t_domain: tuple
     times: tuple
     window: Callable[[float], tuple]
 
@@ -50,14 +51,24 @@ class ExactSolution:
     form: ClosedForm
     times: tuple                       # interior probe times
     window: Callable[[float], tuple]   # residual probe window
-    finite_length: bool
-    curvature_profile: CurvatureProfile | None
+    slope: ClosedForm | None           # d form / dx, for finite length
+    curvature_profile: CurvatureProfile
     notes: str
     wick_partner: str | None = None
     length_bounds: Callable[[float], tuple] | None = None
 
-    def sampler(self, pts, t):
-        return self.form(pts, t)
+    @property
+    def finite_length(self) -> bool:
+        return self.slope is not None
+
+    @functools.cached_property
+    def profile_residual(self) -> ClosedForm:
+        """k_t minus the curvature operator of the profile k, derived once."""
+        import sympy as sp
+        k, theta, t = self.curvature_profile.form.symbolic
+        rhs = _operator(FlowKind.CURVATURE_ANGLE, k, sp.diff(k, theta),
+                        sp.diff(k, theta, 2), self.plane)[0]
+        return ClosedForm.of(sp.diff(k, t) - rhs, theta, t)
 
     def length(self, t):
         """Minkowski length at time t (a float, or an array of times).
@@ -71,11 +82,10 @@ class ExactSolution:
         if not self.finite_length:
             raise InfiniteLength(f"{self.name} has no finite Minkowski length")
         from scipy.integrate import tanhsinh
-        d1 = self.form.derivative(1)
         interval = _GRAPH_FORMS[self.kind.value].interval
 
         def integrand(u, t):
-            return np.sqrt(np.maximum(0.0, interval(d1(u, t))))
+            return np.sqrt(np.maximum(0.0, interval(self.slope(u, t))))
         ts = np.asarray(t, dtype=float)
         bounds = self.length_bounds or (lambda _: (-20.0, 20.0))
         lo, hi = np.vectorize(bounds, otypes=[float, float])(ts)
@@ -85,16 +95,15 @@ class ExactSolution:
 
 def _entry(name, plane, kind, t_domain, expr, times, window, profile, notes,
            slope=None, wick_partner=None, length_bounds=None):
-    form = ClosedForm(expr, "x", "t", name=name, slope=slope)
-    return ExactSolution(name, plane, kind, t_domain, form, times,
+    return ExactSolution(name, plane, kind, t_domain,
+                         ClosedForm(expr, "x", "t", name=name), times,
                          window if callable(window) else (lambda t, w=window: w),
-                         slope is not None, profile, notes, wick_partner,
-                         length_bounds)
+                         slope and ClosedForm(slope, "x", "t"), profile, notes,
+                         wick_partner, length_bounds)
 
 
-def _profile(expr, t_domain, times, window):
-    return CurvatureProfile(ClosedForm(expr, "theta", "t", name="k"),
-                            t_domain, times,
+def _profile(expr, times, window):
+    return CurvatureProfile(ClosedForm(expr, "theta", "t", name="k"), times,
                             window if callable(window) else (lambda t, w=window: w))
 
 
@@ -105,8 +114,7 @@ def _build_registry() -> dict:
             "translator-y", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, inf),
             "t + log(cosh(x))", slope="sinh(x)/cosh(x)",
             times=(-0.4, 0.1, 0.8), window=(-2.0, 2.0),
-            profile=_profile("cosh(theta)", (-inf, inf), (-0.5, 0.0, 0.5),
-                             (-2.0, 2.0)),
+            profile=_profile("cosh(theta)", (-0.5, 0.0, 0.5), (-2.0, 2.0)),
             notes=("rises along the y-axis at unit speed; length pi at "
                    "every t and k*cos(s) = 1 along the curve"),
         ),
@@ -114,8 +122,7 @@ def _build_registry() -> dict:
             "translator-x", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, inf),
             "asinh(exp(t - x))",
             times=(-0.3, 0.0, 0.4), window=(-2.0, 2.5),
-            profile=_profile("-sinh(theta)", (-inf, inf), (-0.5, 0.0, 0.5),
-                             (-2.5, -0.3)),
+            profile=_profile("-sinh(theta)", (-0.5, 0.0, 0.5), (-2.5, -0.3)),
             notes=("slides along the x-axis; one end of finite length, "
                    "the other infinite with k = 1/sinh(s)"),
         ),
@@ -123,8 +130,7 @@ def _build_registry() -> dict:
             "translator-xi", Plane.MINKOWSKI, FlowKind.LIGHTCONE, (-inf, inf),
             "t + exp(x)",
             times=(-0.5, 0.2, 1.0), window=(-2.0, 2.0),
-            profile=_profile("exp(-theta)", (-inf, inf), (-0.5, 0.0, 0.5),
-                             (-2.0, 2.0)),
+            profile=_profile("exp(-theta)", (-0.5, 0.0, 0.5), (-2.0, 2.0)),
             notes=("translates along the xi diagonal with k = 1/s, s > 0; "
                    "also arises as the A=0 screw-translation curve"),
         ),
@@ -133,8 +139,8 @@ def _build_registry() -> dict:
             (0.0, inf),
             "sqrt(2*t + x**2)",
             times=(0.5, 1.0, 2.0), window=(-1.5, 1.5),
-            profile=_profile("sqrt(2)/(2*sqrt(t))", (0.0, inf),
-                             (0.5, 1.0, 2.0), (-2.0, 2.0)),
+            profile=_profile("sqrt(2)/(2*sqrt(t))", (0.5, 1.0, 2.0),
+                             (-2.0, 2.0)),
             notes="constant-curvature arc expanding from the light cone",
         ),
         _entry(
@@ -142,7 +148,7 @@ def _build_registry() -> dict:
             "(1 - 2*t)*tanh(x)", slope="(1 - 2*t)*(1 - tanh(x)**2)",
             times=(-0.5, 0.0, 0.3), window=(-2.0, 2.0),
             profile=_profile("sqrt(exp(-2*theta) + 1/(2*t))",
-                             (-inf, 0.0), (-1.5, -0.8, -0.52),
+                             (-1.5, -0.8, -0.52),
                              lambda t: (0.5 * math.log(-2.0 * t) - 4.0,
                                         0.5 * math.log(-2.0 * t) - 0.2)),
             notes=("boost + contraction toward the eta diagonal; length "
@@ -153,7 +159,7 @@ def _build_registry() -> dict:
             "(2*t + 1)*tan(x)",
             times=(-0.2, 0.5, 1.5), window=(-1.2, 1.2),
             profile=_profile("sqrt(-exp(-2*theta) + 1/(2*t))",
-                             (0.0, inf), (0.3, 0.8, 1.5),
+                             (0.3, 0.8, 1.5),
                              lambda t: (0.5 * math.log(2.0 * t) + 0.2,
                                         0.5 * math.log(2.0 * t) + 4.0)),
             notes="boost + expansion; infinite length, k = tanh(s) at t=0",
@@ -163,7 +169,7 @@ def _build_registry() -> dict:
             "(-2*t - 1)*coth(x)",
             times=(-0.2, 0.5, 1.5), window=(-3.0, -0.3),
             profile=_profile("sqrt(exp(-2*theta) + 1/(2*t))",
-                             (0.0, inf), (0.3, 0.8, 1.5), (-2.0, 2.0)),
+                             (0.3, 0.8, 1.5), (-2.0, 2.0)),
             notes=("boost + expansion on eta < 0; mixed-length ends with "
                    "k = coth(s), s > 0, at t=0"),
         ),
@@ -174,7 +180,7 @@ def _build_registry() -> dict:
             slope=("exp(t)*sinh(x)/(sqrt(exp(t)*cosh(x) - 1)"
                    "*sqrt(exp(t)*cosh(x) + 1))"),
             profile=_profile("sqrt(cosh(2*theta) + coth(2*t))",
-                             (0.0, inf), (0.3, 0.8, 1.5), (-1.5, 1.5)),
+                             (0.3, 0.8, 1.5), (-1.5, 1.5)),
             notes=("upper branch; tracks the expanding hyperbola near t=0 "
                    "and the y-axis translator for large t; length grows "
                    "from 0 toward pi"),
@@ -185,7 +191,7 @@ def _build_registry() -> dict:
             times=(-1.0, 0.0, 1.0), window=(-2.0, 2.0),
             slope="exp(t)*sinh(x)/sqrt(exp(2*t)*cosh(x)**2 + 1)",
             profile=_profile("sqrt(cosh(2*theta) + tanh(2*t))",
-                             (-inf, inf), (-0.8, 0.0, 0.8), (-1.5, 1.5)),
+                             (-0.8, 0.0, 0.8), (-1.5, 1.5)),
             notes=("pair of sideways translators merging into the y-axis "
                    "translator; length decreases toward pi"),
         ),
@@ -195,7 +201,7 @@ def _build_registry() -> dict:
             times=(-2.0, -1.0, -0.3), window=(-2.0, 2.0),
             slope="exp(t)*cosh(x)/sqrt(exp(2*t)*sinh(x)**2 + 1)",
             profile=_profile("sqrt(cosh(2*theta) + coth(2*t))",
-                             (-inf, 0.0), (-1.5, -0.8, -0.4),
+                             (-1.5, -0.8, -0.4),
                              lambda t: (0.5 * _acosh_clip(-1.0 / math.tanh(2 * t)) + 0.2,
                                         0.5 * _acosh_clip(-1.0 / math.tanh(2 * t)) + 2.0)),
             notes=("odd curve collapsing onto the xi diagonal as t -> 0; "
@@ -206,7 +212,7 @@ def _build_registry() -> dict:
             "asin(exp(-t)*sin(x))",
             times=(0.1, 0.15, 0.25), window=(-2.5, 2.5),
             profile=_profile("sqrt(-cosh(2*theta) + 1/tanh(2*t))",
-                             (0.0, inf), (0.1, 0.15, 0.25),
+                             (0.1, 0.15, 0.25),
                              lambda t: _sym_window(
                                  0.45 * _acosh_clip(1.0 / math.tanh(2 * t)))),
             notes=("2*pi-periodic wave emerging from the triangle wave at "
@@ -220,7 +226,7 @@ def _build_registry() -> dict:
             window=lambda t: _sym_window(0.75 * (math.pi / 2 - 2.0 * t)),
             slope="(tan(x)**2 + 1)*tan(2*t)/(-tan(2*t)**2*tan(x)**2 + 1)",
             profile=_profile("sqrt(sinh(2*theta) + 1/tan(2*t))",
-                             (0.0, math.pi / 2), (0.4, 0.8, 1.2),
+                             (0.4, 0.8, 1.2),
                              lambda t: (0.5 * math.asinh(-1.0 / math.tan(2 * t)) + 0.2,
                                         0.5 * math.asinh(-1.0 / math.tan(2 * t)) + 2.5)),
             notes=("joins the tan-screw behaviour near t=0 to the "
@@ -235,8 +241,8 @@ def _build_registry() -> dict:
             "sqrt(-2*t - x**2)",
             times=(-2.0, -1.0, -0.5),
             window=lambda t: _sym_window(0.7 * math.sqrt(-2.0 * t)),
-            profile=_profile("sqrt(2)/(2*sqrt(-t))", (-inf, 0.0),
-                             (-2.0, -1.0, -0.5), (-2.0, 2.0)),
+            profile=_profile("sqrt(2)/(2*sqrt(-t))", (-2.0, -1.0, -0.5),
+                             (-2.0, 2.0)),
             notes="upper semicircle of the shrinking round solution",
             wick_partner="hyperbola-expander",
         ),
@@ -244,8 +250,7 @@ def _build_registry() -> dict:
             "euclid-reaper", Plane.EUCLIDEAN, FlowKind.GRAPH_Y, (-inf, inf),
             "-t + log(cos(x))",
             times=(-1.0, 0.0, 1.0), window=(-1.2, 1.2),
-            profile=_profile("cos(theta)", (-inf, inf), (-0.5, 0.0, 0.5),
-                             (-1.2, 1.2)),
+            profile=_profile("cos(theta)", (-0.5, 0.0, 0.5), (-1.2, 1.2)),
             notes="downward-translating single-arch solution",
             wick_partner="translator-y",
         ),
@@ -255,7 +260,7 @@ def _build_registry() -> dict:
             times=(-2.0, -1.0, -0.5),
             window=lambda t: _sym_window(0.7 * math.acos(math.exp(t))),
             profile=_profile("sqrt(cos(2*theta) - 1/tanh(2*t))",
-                             (-inf, 0.0), (-2.0, -1.0, -0.5), (-1.0, 1.0)),
+                             (-2.0, -1.0, -0.5), (-1.0, 1.0)),
             notes="upper half of the shrinking oval (paperclip) solution",
             wick_partner="oval-coshcosh",
         ),
@@ -264,7 +269,7 @@ def _build_registry() -> dict:
             "asinh(exp(-t)*cos(x))",
             times=(-0.5, 0.0, 0.3), window=(-2.0, 2.0),
             profile=_profile("sqrt(cos(2*theta) - tanh(2*t))",
-                             (-inf, inf), (-0.5, 0.0, 0.3),
+                             (-0.5, 0.0, 0.3),
                              lambda t: _sym_window(
                                  0.45 * math.acos(math.tanh(2 * t)))),
             notes="periodic wave of translating arches",
@@ -309,7 +314,7 @@ def verify_all(levels=DEFAULT_LEVELS, order_tol=ORDER_TOL,
     out = []
     for name in (only or names()):
         e = get(name)
-        rep = residual(e.kind, e.sampler, levels, e.times, e.window, e.plane)
+        rep = residual(e.kind, e.form, levels, e.times, e.window, e.plane)
         ok = rep.observed_order is not None \
             and abs(rep.observed_order - ORDER_TARGET) <= order_tol
         out.append({"name": name, "passed": bool(ok), "report": rep})
@@ -324,14 +329,7 @@ def curvature_profile_check(name: str) -> ResidualReport:
     profile's probe times, so a true profile sits at the roundoff floor.
     """
     e = get(name)
-    if e.curvature_profile is None:
-        raise NoProfile(f"{name} stores no curvature profile")
-    import sympy as sp
-    prof = e.curvature_profile
-    k = prof.form
-    rhs = _operator(FlowKind.CURVATURE_ANGLE, k.expr, k.derivative(1).expr,
-                    k.derivative(2).expr, e.plane)[0]
-    resid = ClosedForm(sp.diff(k.expr, k.time) - rhs, k.space, k.time)
+    prof, resid = e.curvature_profile, e.profile_residual
     times = np.linspace(prof.times[0], prof.times[-1], 7)
     level = _level(0.0, [resid(np.linspace(*prof.window(float(t)), 21),
                                float(t)) for t in times])

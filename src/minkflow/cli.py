@@ -217,8 +217,7 @@ def cmd_catalog_show(args) -> int:
     e = catalog.get(args.name)
     info = {"name": e.name, "plane": e.plane.value, "kind": e.kind.value,
             "t_domain": list(e.t_domain), "expression": e.form.text,
-            "curvature_profile": None if e.curvature_profile is None
-            else e.curvature_profile.form.text,
+            "curvature_profile": e.curvature_profile.form.text,
             "finite_length": e.finite_length, "notes": e.notes,
             "wick_partner": e.wick_partner}
     sys.stdout.write(_json_dumps(info))
@@ -430,7 +429,9 @@ def _apply_config(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # in the words of the command that refuses them
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.config:
             _apply_config(args)

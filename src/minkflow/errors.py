@@ -81,10 +81,6 @@ class UnknownSolution(MinkflowError):
     """Name not present in the exact-solution registry."""
 
 
-class NoProfile(MinkflowError):
-    """Registry entry carries no closed-form curvature profile."""
-
-
 class InfiniteLength(MinkflowError):
     """Entry has no finite Minkowski-length representative."""
 

@@ -21,7 +21,9 @@ the reference scheme, stable for dt <= 0.4 h^2 / max D.  Candidate exact
 solutions are verified by the residual of the same stencil on refinement
 ladders, with the observed convergence order reported (about 2 for a
 true solution); the catalog's curvature-profile check applies
-``_operator`` to exact symbolic derivatives.
+``_operator`` to exact symbolic derivatives.  A ``ClosedForm`` is its
+formula text, sampled through ``compile_formula``; sympy parses it only
+where a derivative is taken or the Wick substitution is made.
 """
 
 from __future__ import annotations
@@ -453,58 +455,53 @@ def compile_formula(text: str, space: str, time: str):
 
 
 class ClosedForm:
-    """A closed form in (space, time) usable as a vectorized sampler.
+    """A closed form in (space, time), held as its formula text.
 
-    ``expr`` is ``compile_formula`` text or a sympy expression, sampled
-    through its ``sstr`` text; ``space`` and ``time`` are names or sympy
-    symbols.  Only ``expr`` and ``derivative`` import sympy, and
-    ``derivative(1)`` does not if ``slope`` gives its text.
+    ``text`` is ``compile_formula`` text in the variables named ``space``
+    and ``time``.  ``sampler`` compiles it on first use, and calling the
+    form samples it.  ``symbolic`` parses it into sympy on first use, for
+    the checks that derive; ``of`` is the one way from a sympy result back
+    to a ClosedForm.
     """
 
-    def __init__(self, expr, space, time, name: str = "", slope=None):
-        self.name = name
-        self._source = (expr, space, time)
-        self._dfns = {1: ClosedForm(slope, space, time)} if slope else {}
+    def __init__(self, text: str, space: str, time: str, name: str = ""):
+        self.text, self.name = text, name
+        self._variables = (space, time)
 
-    @functools.cached_property
-    def text(self) -> str:
-        if isinstance(self._source[0], str):
-            return self._source[0]
-        import sympy as sp
-        return sp.sstr(self._source[0], full_prec=True)
+    @classmethod
+    def of(cls, expr, space, time, name: str = "") -> "ClosedForm":
+        """The form of sympy ``expr`` in the symbols ``space`` and ``time``.
+
+        Its text is sympy's ``sstr``, except that each ``Float`` is printed
+        as the float64 it rounds to, so the form samples those bits.
+        """
+        from sympy.printing.str import StrPrinter
+
+        class Printer(StrPrinter):
+            def _print_Float(self, expr):
+                return repr(float(expr))
+        text = Printer({"full_prec": True}).doprint(expr)
+        return cls(text, str(space), str(time), name)
 
     @functools.cached_property
     def sampler(self):
         """The compiled numpy function of (space, time)."""
-        return compile_formula(self.text, *map(str, self._source[1:]))
+        return compile_formula(self.text, *self._variables)
 
     @functools.cached_property
-    def _parsed(self):
-        """(expr, space, time) as sympy objects, built once."""
+    def symbolic(self):
+        """(expr, space, time) as sympy objects, parsed once."""
         import sympy as sp
-        expr, *syms = self._source
-        space, time = (sp.Symbol(v, real=True) if isinstance(v, str) else v
-                       for v in syms)
-        return sp.sympify(expr, locals={space.name: space, time.name: time,
-                                        "coth": sp.coth}), space, time
-
-    expr = property(lambda self: self._parsed[0])
-    space = property(lambda self: self._parsed[1])
-    time = property(lambda self: self._parsed[2])
+        space, time = (sp.Symbol(v, real=True) for v in self._variables)
+        return sp.sympify(self.text, locals={space.name: space,
+                                             time.name: time,
+                                             "coth": sp.coth}), space, time
 
     def __call__(self, pts, t):
         with np.errstate(all="ignore"):  # inf and nan: the caller refuses
             out = self.sampler(np.asarray(pts, dtype=float),
                                np.asarray(t, dtype=float))
         return np.broadcast_to(out, np.shape(pts)).copy()
-
-    def derivative(self, order: int = 1) -> "ClosedForm":
-        """Exact spatial derivative, built once per order."""
-        if order not in self._dfns:
-            import sympy as sp
-            self._dfns[order] = ClosedForm(
-                sp.diff(self.expr, self.space, order), self.space, self.time)
-        return self._dfns[order]
 
     def __repr__(self):
         return f"ClosedForm({self.name or self.text})"
@@ -532,13 +529,12 @@ def wick_transform(kind: FlowKind, euclid: ClosedForm,
     if np.max(np.abs(left[finite] - right[finite])) > 1e-9 * scale:
         raise NotEven(f"{euclid!r} is not even in its spatial argument")
     import sympy as sp
-    expr = euclid.expr.subs(euclid.space, sp.I * euclid.space, simultaneous=True)
-    expr = expr.subs(euclid.time, -euclid.time, simultaneous=True)
-    expr = sp.simplify(expr)
+    expr, space, time = euclid.symbolic
+    expr = expr.subs(space, sp.I * space, simultaneous=True)
+    expr = sp.simplify(expr.subs(time, -time, simultaneous=True))
     if expr.has(sp.I):
         expr = sp.simplify(sp.re(expr))
-    return ClosedForm(expr, euclid.space, euclid.time,
-                      name=f"wick({euclid.name})")
+    return ClosedForm.of(expr, space, time, name=f"wick({euclid.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from minkflow import catalog, flow
-from minkflow.errors import InfiniteLength, NoProfile, UnknownSolution
+from minkflow.errors import InfiniteLength, UnknownSolution
 from minkflow.flow import FlowKind, Plane, residual, wick_transform
 
 ALL_NAMES = [
@@ -30,15 +30,15 @@ def test_get_examples():
     assert e.kind is FlowKind.GRAPH_Y
     assert e.t_domain == (-math.inf, math.inf)
     xs = np.array([0.0, 1.0])
-    assert e.sampler(xs, 0.25) == pytest.approx(
+    assert e.form(xs, 0.25) == pytest.approx(
         0.25 + np.log(np.cosh(xs)))
     e = catalog.get("interp-tan")
     assert e.t_domain == (0.0, math.pi / 4)
-    assert e.sampler(np.array([0.3]), 0.2)[0] == pytest.approx(
+    assert e.form(np.array([0.3]), 0.2)[0] == pytest.approx(
         math.atanh(math.tan(0.3) * math.tan(0.4)))
     e = catalog.get("euclid-oval")
     assert e.plane is Plane.EUCLIDEAN
-    assert e.sampler(np.array([0.1]), -1.0)[0] == pytest.approx(
+    assert e.form(np.array([0.1]), -1.0)[0] == pytest.approx(
         math.acosh(math.e * math.cos(0.1)))
 
 
@@ -59,7 +59,7 @@ def test_perturbed_candidate_fails():
     e = catalog.get("translator-y")
 
     def broken(pts, t):
-        return e.sampler(pts, t) + 0.01 * np.sin(np.asarray(pts))
+        return e.form(pts, t) + 0.01 * np.sin(np.asarray(pts))
 
     rep = residual(e.kind, broken, catalog.DEFAULT_LEVELS, e.times,
                    e.window, e.plane)
@@ -73,18 +73,6 @@ def test_curvature_profiles_identically_satisfied():
     for name in ALL_NAMES:
         rep = catalog.curvature_profile_check(name)
         assert rep.max_abs < 1e-9, name
-
-
-def test_no_profile_error():
-    import dataclasses
-    e = dataclasses.replace(catalog.get("translator-y"),
-                            curvature_profile=None, name="bare")
-    catalog._REGISTRY["bare"] = e
-    try:
-        with pytest.raises(NoProfile):
-            catalog.curvature_profile_check("bare")
-    finally:
-        del catalog._REGISTRY["bare"]
 
 
 class TestLengths:
@@ -130,25 +118,25 @@ def test_wick_pairing():
         probe_t = {"euclid-circle": -0.5, "euclid-oval": -1.0}.get(name, 0.0)
         out = wick_transform(FlowKind.GRAPH_Y, e.form,
                              probe_points=(0.1, 0.25, 0.4), probe_t=probe_t)
-        diff = sp.simplify(out.expr - partner.form.expr)
-        assert diff == 0, (name, out.expr, partner.form.expr)
+        diff = sp.simplify(out.symbolic[0] - partner.form.symbolic[0])
+        assert diff == 0, (name, out.text, partner.form.text)
 
 
 def test_stored_text_is_canonical():
     """Expressions, profiles and first derivatives are stored as sstr."""
     for name in ALL_NAMES:
         e = catalog.get(name)
-        slope = [e.form.derivative(1)] if e.finite_length else []
+        slope = [e.slope] if e.finite_length else []
         for form in [e.form, e.curvature_profile.form, *slope]:
-            assert sp.sstr(form.expr) == form.text, (name, form.text)
+            assert sp.sstr(form.symbolic[0]) == form.text, (name, form.text)
 
 
 def test_stored_slope_is_first_derivative():
     for name in ALL_NAMES:
         e = catalog.get(name)
         if e.finite_length:
-            assert e.form.derivative(1).text == \
-                sp.sstr(sp.diff(e.form.expr, e.form.space)), name
+            assert e.slope.text == \
+                sp.sstr(sp.diff(*e.form.symbolic[:2])), name
 
 
 def test_compiled_samples_match_lambdify():
@@ -168,10 +156,11 @@ def test_compiled_samples_match_lambdify():
             ts = np.linspace(*lengths[name], 50)[:, None]
             lo, hi = np.vectorize(e.length_bounds or (lambda _: (-20.0, 20.0)),
                                   otypes=[float, float])(ts)
-            probes.append((e.form.derivative(1),
+            probes.append((e.slope,
                            lo + (hi - lo) * np.linspace(0.0, 1.0, 201), ts))
         for form, pts, t in probes:
-            ref = sp.lambdify((form.space, form.time), form.expr, "numpy")
+            expr, space, time = form.symbolic
+            ref = sp.lambdify((space, time), expr, "numpy")
             with np.errstate(all="ignore"):
                 want = np.broadcast_to(ref(pts, t), np.shape(pts))
                 assert np.array_equal(form(pts, t), want, equal_nan=True), \
@@ -183,7 +172,7 @@ def test_boundary_behaviour_interp_tan():
     e = catalog.get("interp-tan")
     etas = np.linspace(-0.9, 0.9, 101)
     for t in (0.002, 0.005, 0.01):
-        exact = e.sampler(etas, t)
+        exact = e.form(etas, t)
         model = 2 * t * np.tan(etas)
         rel = np.max(np.abs(exact - model) / np.maximum(np.abs(model), 1e-12))
         assert rel < 1e-3
@@ -194,7 +183,7 @@ def test_boundary_behaviour_oval():
     e = catalog.get("oval-coshcosh")
     xs = np.linspace(-0.5, 0.5, 51)
     for t in (0.005, 0.02):
-        exact = e.sampler(xs, t)
+        exact = e.form(xs, t)
         model = np.sqrt(xs ** 2 + 2 * t)
         assert np.max(np.abs(exact - model) / model) < 2e-2
 

@@ -473,7 +473,8 @@ class TestCatalogCommand:
         assert exit_code(["catalog", *argv, "--points", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.err.endswith(
-            "minkflow: error: unrecognized arguments: --points 0\n")
+            f"minkflow catalog {argv[0]}: error: unrecognized arguments: "
+            "--points 0\n")
         assert captured.out == ""
 
     def test_lengths_unknown_name_exit_code(self, capsys):
@@ -693,6 +694,15 @@ def test_option_of_another_command_refused(tmp_path, monkeypatch, capsys,
     assert captured.err.endswith(
         f"error: unrecognized arguments: {' '.join(extra)}\n")
     assert captured.out == "" and not list(tmp_path.iterdir())
+
+
+def test_refusal_names_the_nested_command(capsys):
+    argv = ["catalog", "show", "translator-y", "--tol", "nan"]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: minkflow catalog show ")
+    assert err.endswith("minkflow catalog show: error: unrecognized "
+                        "arguments: --tol nan\n")
 
 
 def test_optional_output_stays_on_stdout(tmp_path, monkeypatch, capsys):

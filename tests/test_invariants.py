@@ -200,7 +200,7 @@ class TestDoubleRole:
         # xi = e^eta onto xi = e^{2 eta} + 1
         entry = catalog.get("translator-xi")
         etas = np.linspace(-2.0, 2.0, 4001)
-        xis = entry.sampler(etas, 0.0)
+        xis = entry.form(etas, 0.0)
         xi2 = 2.0 * xis          # boost: (xi, eta) -> (2 xi, eta / 2)
         eta2 = etas / 2.0
         eta3 = eta2 + math.log(2.0) / 2.0
