@@ -4,10 +4,10 @@ Twelve solutions of the split-signature flow and four of the Euclidean
 curve-shortening flow.  Each holds ``ClosedForm``s of sympy's canonical
 text (``sstr``, which ``catalog show`` prints): its closed form in the
 graph variable (``x``, or eta for lightcone entries) and time ``t``, its
-curvature profile and, for the six finite-length entries, its first
-derivative ``slope``.  Residuals, lengths and boundary values sample the
-text compiled to numpy; only the curvature-profile check derives with
-sympy, once per entry.
+curvature profile and, for the six finite-length entries, its arc-length
+``density`` ds/dnode, written so that no term cancels.  Residuals,
+lengths and boundary values sample the text compiled to numpy; only the
+curvature-profile check derives with sympy, once per entry.
 
 Canonical names: translator-y, translator-x, translator-xi,
 hyperbola-expander, screw-tanh, screw-tan, screw-coth, oval-coshcosh,
@@ -24,10 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfiniteLength, UnknownSolution
+from .errors import InfiniteLength, QuadratureFailed, UnknownSolution
 from .flow import (ClosedForm, FlowKind, Plane, ResidualReport, _level,
                    _operator, residual)
-from .geometry import _GRAPH_FORMS
 
 DEFAULT_LEVELS = (0.02, 0.01, 0.005)
 ORDER_TARGET, ORDER_TOL = 2.0, 0.3
@@ -51,15 +50,16 @@ class ExactSolution:
     form: ClosedForm
     times: tuple                       # interior probe times
     window: Callable[[float], tuple]   # residual probe window
-    slope: ClosedForm | None           # d form / dx, for finite length
+    density: ClosedForm | None         # ds/dnode, for finite length
     curvature_profile: CurvatureProfile
     notes: str
     wick_partner: str | None = None
+    # The density's node range at t; None for the whole real line.
     length_bounds: Callable[[float], tuple] | None = None
 
     @property
     def finite_length(self) -> bool:
-        return self.slope is not None
+        return self.density is not None
 
     @functools.cached_property
     def profile_residual(self) -> ClosedForm:
@@ -73,33 +73,78 @@ class ExactSolution:
     def length(self, t):
         """Minkowski length at time t (a float, or an array of times).
 
-        The integrand is ds/dnode of the entry's graph form, sqrt(1 - y'^2)
-        or sqrt(xi'), over length_bounds (default: the +-20 truncation).
-        Double-exponential quadrature absorbs the inverse-square-root
-        endpoint behaviour of entries that end on the light cone; an
-        array of times is integrated in one vectorized call.
+        The integral of ``density`` over the entry's whole domain: the
+        real line, or ``length_bounds(t)``, whose lower end may be a
+        light-cone end where the density blows up.  Each time is
+        integrated on its own, so an array of times gives the same bits
+        as a loop over them.
         """
         if not self.finite_length:
             raise InfiniteLength(f"{self.name} has no finite Minkowski length")
-        from scipy.integrate import tanhsinh
-        interval = _GRAPH_FORMS[self.kind.value].interval
-
-        def integrand(u, t):
-            return np.sqrt(np.maximum(0.0, interval(self.slope(u, t))))
         ts = np.asarray(t, dtype=float)
-        bounds = self.length_bounds or (lambda _: (-20.0, 20.0))
-        lo, hi = np.vectorize(bounds, otypes=[float, float])(ts)
-        res = tanhsinh(integrand, lo, hi, args=(ts,), atol=1e-11, rtol=1e-11)
-        return float(res.integral) if ts.ndim == 0 else res.integral
+        bounds = self.length_bounds or (lambda _: None)
+        out = [_double_exponential(lambda u: self.density(u, s), bounds(s),
+                                   f"{self.name} at t={s:g}")
+               for s in ts.ravel().tolist()]
+        return out[0] if ts.ndim == 0 else np.reshape(out, ts.shape)
+
+
+@functools.cache
+def _de_nodes(finite: bool, level: int) -> tuple:
+    """The abscissae, and weights times the step, that level ``level`` of
+    the double-exponential rule adds: every multiple of the step 1/8 at
+    level 0, then the odd multiples of the halved step.
+
+    Tanh-sinh (``finite``) gives fractions of an interval, measured from
+    its lower end so that they stay exact near it; the nodes stop where
+    the weight underflows.  Sinh-sinh gives points of the real line; the
+    nodes stop where the weight would overflow.
+    """
+    h = 0.5 ** (3 + level)
+    u = np.arange(-7.0, 7.0 + h / 2, h)[1::2 if level else 1]
+    z = 0.5 * math.pi * np.sinh(u)
+    if not finite:
+        keep = np.abs(z) < 700.0
+        u, z = u[keep], z[keep]
+        return np.sinh(z), 0.5 * math.pi * h * np.cosh(u) * np.cosh(z)
+    e = np.exp(-2.0 * np.abs(z))  # so that 1 - tanh|z| = 2e / (1 + e)
+    w = math.pi * h * np.cosh(u) * e / (1.0 + e) ** 2
+    keep = w >= np.finfo(float).tiny
+    return (np.where(z < 0.0, e, 1.0) / (1.0 + e))[keep], w[keep]
+
+
+def _double_exponential(f, bounds, where: str) -> float:
+    """The integral of f over the real line (``bounds`` None) or over
+    ``bounds`` = (lo, hi), where f may be singular at lo.
+
+    Takahasi and Mori's double-exponential rule (Publ. RIMS 9, 1974),
+    with the level doubling of Bailey, Jeyabalan and Li (Experimental
+    Math. 14, 2005): each level halves the step.  The error roughly
+    squares from one level to the next, so once two levels agree to
+    1e-10 the later one is good to rounding.
+    """
+    total = None
+    for level in range(8):
+        x, w = _de_nodes(bounds is not None, level)
+        if bounds is not None:
+            lo, hi = bounds
+            x, w = lo + (hi - lo) * x, (hi - lo) * w
+        part = float(w @ f(x))
+        previous, total = total, part if total is None else 0.5 * total + part
+        if previous is not None and abs(total - previous) <= 1e-10 * abs(total):
+            return total
+    raise QuadratureFailed(f"the length of {where} did not settle by step "
+                           "2^-10 of the double-exponential rule")
 
 
 def _entry(name, plane, kind, t_domain, expr, times, window, profile, notes,
-           slope=None, wick_partner=None, length_bounds=None):
+           density=None, wick_partner=None, length_bounds=None):
+    node = "x" if length_bounds is None else "d"
     return ExactSolution(name, plane, kind, t_domain,
                          ClosedForm(expr, "x", "t", name=name), times,
                          window if callable(window) else (lambda t, w=window: w),
-                         slope and ClosedForm(slope, "x", "t"), profile, notes,
-                         wick_partner, length_bounds)
+                         density and ClosedForm(density, node, "t"), profile,
+                         notes, wick_partner, length_bounds)
 
 
 def _profile(expr, times, window):
@@ -112,7 +157,7 @@ def _build_registry() -> dict:
     entries = [
         _entry(
             "translator-y", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, inf),
-            "t + log(cosh(x))", slope="sinh(x)/cosh(x)",
+            "t + log(cosh(x))", density="1/cosh(x)",
             times=(-0.4, 0.1, 0.8), window=(-2.0, 2.0),
             profile=_profile("cosh(theta)", (-0.5, 0.0, 0.5), (-2.0, 2.0)),
             notes=("rises along the y-axis at unit speed; length pi at "
@@ -145,7 +190,7 @@ def _build_registry() -> dict:
         ),
         _entry(
             "screw-tanh", Plane.MINKOWSKI, FlowKind.LIGHTCONE, (-inf, 0.5),
-            "(1 - 2*t)*tanh(x)", slope="(1 - 2*t)*(1 - tanh(x)**2)",
+            "(1 - 2*t)*tanh(x)", density="sqrt(1 - 2*t)/cosh(x)",
             times=(-0.5, 0.0, 0.3), window=(-2.0, 2.0),
             profile=_profile("sqrt(exp(-2*theta) + 1/(2*t))",
                              (-1.5, -0.8, -0.52),
@@ -177,8 +222,7 @@ def _build_registry() -> dict:
             "oval-coshcosh", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (0.0, inf),
             "acosh(exp(t)*cosh(x))",
             times=(0.5, 1.0, 2.0), window=(-2.0, 2.0),
-            slope=("exp(t)*sinh(x)/(sqrt(exp(t)*cosh(x) - 1)"
-                   "*sqrt(exp(t)*cosh(x) + 1))"),
+            density="sqrt((exp(2*t) - 1)/(exp(2*t)*cosh(x)**2 - 1))",
             profile=_profile("sqrt(cosh(2*theta) + coth(2*t))",
                              (0.3, 0.8, 1.5), (-1.5, 1.5)),
             notes=("upper branch; tracks the expanding hyperbola near t=0 "
@@ -189,7 +233,7 @@ def _build_registry() -> dict:
             "wave-coshsinh", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, inf),
             "asinh(exp(t)*cosh(x))",
             times=(-1.0, 0.0, 1.0), window=(-2.0, 2.0),
-            slope="exp(t)*sinh(x)/sqrt(exp(2*t)*cosh(x)**2 + 1)",
+            density="sqrt(exp(2*t) + 1)/sqrt(exp(2*t)*cosh(x)**2 + 1)",
             profile=_profile("sqrt(cosh(2*theta) + tanh(2*t))",
                              (-0.8, 0.0, 0.8), (-1.5, 1.5)),
             notes=("pair of sideways translators merging into the y-axis "
@@ -199,7 +243,7 @@ def _build_registry() -> dict:
             "wave-sinhsinh", Plane.MINKOWSKI, FlowKind.GRAPH_Y, (-inf, 0.0),
             "asinh(exp(t)*sinh(x))",
             times=(-2.0, -1.0, -0.3), window=(-2.0, 2.0),
-            slope="exp(t)*cosh(x)/sqrt(exp(2*t)*sinh(x)**2 + 1)",
+            density="sqrt(1 - exp(2*t))/sqrt(exp(2*t)*sinh(x)**2 + 1)",
             profile=_profile("sqrt(cosh(2*theta) + coth(2*t))",
                              (-1.5, -0.8, -0.4),
                              lambda t: (0.5 * _acosh_clip(-1.0 / math.tanh(2 * t)) + 0.2,
@@ -224,7 +268,10 @@ def _build_registry() -> dict:
             "atanh(tan(2*t)*tan(x))",
             times=(0.2, math.pi / 8, 0.6),
             window=lambda t: _sym_window(0.75 * (math.pi / 2 - 2.0 * t)),
-            slope="(tan(x)**2 + 1)*tan(2*t)/(-tan(2*t)**2*tan(x)**2 + 1)",
+            # In d = pi/2 - 2t - |x|, the distance from the nearer light-cone
+            # end: written in x, cos(4t) + cos(2x) cancels at the ends.  Each
+            # d stands for two points of the even curve.
+            density="sqrt(2)*sqrt(sin(4*t)/(sin(d)*sin(d + 4*t)))",
             profile=_profile("sqrt(sinh(2*theta) + 1/tan(2*t))",
                              (0.4, 0.8, 1.2),
                              lambda t: (0.5 * math.asinh(-1.0 / math.tan(2 * t)) + 0.2,
@@ -232,8 +279,7 @@ def _build_registry() -> dict:
             notes=("joins the tan-screw behaviour near t=0 to the "
                    "tanh-screw collapse near t=pi/4; length rises from 0 "
                    "to a maximum and returns to 0"),
-            length_bounds=lambda t: _sym_window(
-                math.atan(1.0 / math.tan(2.0 * t)) - 1e-12),
+            length_bounds=lambda t: (0.0, math.pi / 2 - 2.0 * t),
         ),
         # Euclidean curve-shortening solutions.
         _entry(

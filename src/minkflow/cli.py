@@ -296,8 +296,42 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """In a leaf command, the word after an unknown option is that option's
+    value: both are left over, so ``--all --tol nan`` refuses ``--tol nan``
+    instead of reading nan as a positional argument."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args is None or self.get_default("func") is None:
+            return super().parse_known_args(args, namespace)
+        known, unknown, rest = [], [], list(args)
+        while rest:
+            word = rest.pop(0)
+            if word == "--":
+                known += [word, *rest]
+                break
+            if word[:1] != "-" or len(word) == 1 or _number(word) \
+                    or word.partition("=")[0] in self._option_string_actions:
+                known.append(word)
+                continue
+            unknown.append(word)
+            if "=" not in word and rest and (rest[0][:1] != "-"
+                                             or _number(rest[0])):
+                unknown.append(rest.pop(0))
+        namespace, extra = super().parse_known_args(known, namespace)
+        return namespace, unknown + extra
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="minkflow", allow_abbrev=False,
         description="curvature flow of space-like curves in the "
                     "split-signature plane")

@@ -197,18 +197,77 @@ def _quadratic_project(points: np.ndarray, idx: np.ndarray,
     return np.sqrt(np.sum(r * r, axis=1))
 
 
+def _light_cone_order(base, probes, sign: str):
+    """x + y (``sign`` "+") or x - y of the samples and the probes, negated
+    if it falls along the curve; InvalidParams names the first sample
+    that breaks its strict order."""
+    s = 1.0 if sign == "+" else -1.0
+    key, at = base[:, 0] + s * base[:, 1], probes[:, 0] + s * probes[:, 1]
+    if key[-1] < key[0]:
+        key, at = -key, -at
+    bad = np.flatnonzero(~(np.diff(key) > 0.0))
+    if bad.size:
+        raise InvalidParams(f"sample {bad[0] + 1} breaks the strict order of "
+                            f"the curve in x {sign} y; the curve is not "
+                            "space-like there")
+    return key, at
+
+
+def _dist2(base, probes, idx):
+    """Squared distance from each probe to the samples of its row of idx."""
+    return np.sum((base[idx] - probes[:, None, :]) ** 2, axis=-1)
+
+
+def _nearest(base: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Index of the sample of ``base`` nearest to each probe; a tie goes
+    to the lowest index.
+
+    Along a space-like curve both light-cone coordinates x + y and x - y
+    are strictly monotone, so the samples are sorted by each.  Bisection
+    on x + y brackets each probe p; let d be its distance to the nearer
+    bracketing sample.  The nearest sample q has |q - p| <= d, so each
+    coordinate of q lies within sqrt(2) d of p's, and bisection on both
+    bounds the samples to compare.  A narrow range is compared for all
+    probes at once, a wide one (a probe far off the curve) in a loop.
+    """
+    n = len(base)
+    orders = [_light_cone_order(base, probes, sign) for sign in "+-"]
+    key, at = orders[0]
+    j = np.clip(np.searchsorted(key, at), 1, n - 1)
+    r = math.sqrt(2.0) * np.sqrt(np.min(
+        _dist2(base, probes, np.stack([j - 1, j], axis=1)), axis=1))
+    # One sample more on each side absorbs the rounding of the keys.
+    lo = np.maximum(np.maximum.reduce(
+        [np.searchsorted(k, a - r) for k, a in orders]) - 1, 0)
+    hi = np.minimum(np.minimum.reduce(
+        [np.searchsorted(k, a + r, side="right") for k, a in orders]) + 1, n)
+    # Past an end in both coordinates, every other sample is farther in
+    # both, so the end is nearest: a mapped point off the sampled span.
+    (k1, a1), (k2, a2) = orders
+    hi[(a1 <= k1[0]) & (a2 <= k2[0])] = 1
+    lo[(a1 >= k1[-1]) & (a2 >= k2[-1])] = n - 1
+    width = 4  # a probe on a finely sampled curve ranges over 2 to 4
+    idx = np.minimum(lo[:, None] + np.arange(width), hi[:, None] - 1)
+    nearest = idx[np.arange(len(probes)),
+                  np.argmin(_dist2(base, probes, idx), axis=1)]
+    for i in np.flatnonzero(hi - lo > width):
+        gap = np.sum((base[lo[i]:hi[i]] - probes[i]) ** 2, axis=1)
+        nearest[i] = lo[i] + np.argmin(gap)
+    return nearest
+
+
 def point_set_deviation(base_points: np.ndarray,
                         probe_points: np.ndarray) -> float:
     """Worst Euclidean distance from probe points to the sampled curve.
 
-    Probes whose nearest sample is at the very ends are discarded (no
-    bracketing neighbours for the local quadratic fit).
+    ``base_points`` must be a space-like curve, sampled in order:
+    InvalidParams names the first sample that breaks the strict order of
+    x + y or x - y.  Probes whose nearest sample is at the very ends are
+    discarded (no bracketing neighbours for the local quadratic fit).
     """
-    from scipy.spatial import cKDTree
     base = np.asarray(base_points, float)
     probes = np.asarray(probe_points, float)
-    tree = cKDTree(base)
-    _, idx = tree.query(probes)
+    idx = _nearest(base, probes)
     keep = (idx >= 1) & (idx <= len(base) - 2)
     if not np.any(keep):
         raise InvalidParams("all mapped points fell off the sampled span")
@@ -223,7 +282,7 @@ def check_invariance(curve: Curve, motion: MotionLaw, t_probe,
     (``probe_fraction``) so their images stay on the sampled span; the
     caller should sample the curve wider than the probed window.
     InvalidParams names a probe time outside the motion's open time
-    domain.
+    domain, or one whose image of the curve is not finite in float64.
     """
     lo, hi = motion.t_domain
     for t in t_probe:
@@ -236,6 +295,13 @@ def check_invariance(curve: Curve, motion: MotionLaw, t_probe,
     sub = pts[lo:hi]
     worst = 0.0
     for t in t_probe:
-        mapped = motion.apply(sub, t)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mapped = motion.apply(sub, t)
+        except OverflowError:  # from math.exp or math.cosh of the motion
+            mapped = None
+        if mapped is None or not np.all(np.isfinite(mapped)):
+            raise InvalidParams(f"probe time t={t:g} (--t-probe) maps the "
+                                "curve beyond the float64 range")
         worst = max(worst, point_set_deviation(pts, mapped))
     return worst

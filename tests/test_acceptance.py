@@ -143,7 +143,7 @@ def test_criterion_4_conserved_quantities():
 
 def test_criterion_5_specific_values():
     # Minkowski length pi for the y-axis translator and the tanh screw
-    # at t = 0 (truncation at 20)
+    # at t = 0, integrated over the whole real line
     len_a = catalog.get("translator-y").length(0.0)
     len_b = catalog.get("screw-tanh").length(0.0)
     assert abs(len_a - math.pi) <= 1e-6

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -8,6 +9,7 @@ import sympy as sp
 from minkflow import catalog, flow
 from minkflow.errors import InfiniteLength, UnknownSolution
 from minkflow.flow import FlowKind, Plane, residual, wick_transform
+from minkflow.geometry import _GRAPH_FORMS
 
 ALL_NAMES = [
     "translator-y", "translator-x", "translator-xi", "hyperbola-expander",
@@ -77,8 +79,31 @@ def test_curvature_profiles_identically_satisfied():
 
 class TestLengths:
     def test_translator_constant_pi(self):
-        series = catalog.length_vs_time("translator-y", [-1.0, 0.0, 1.0])
-        assert np.max(np.abs(series[:, 1] - math.pi)) < 1e-6
+        series = catalog.length_vs_time(
+            "translator-y", np.linspace(*catalog.LENGTH_GRIDS["A"], 50))
+        assert np.max(np.abs(series[:, 1] - math.pi)) <= 1e-14
+
+    # 30-digit quadratures of each density over its whole domain, at the
+    # ends and the middle of the series' time grid.
+    REFERENCE_BOUND = {"interp-tan": 4e-15}
+
+    @pytest.mark.parametrize("label", list(catalog.LENGTH_SERIES))
+    def test_matches_mpmath(self, label):
+        name, _ = catalog.LENGTH_SERIES[label]
+        e = catalog.get(name)
+        rho, node, t = e.density.symbolic
+        lo, hi = catalog.LENGTH_GRIDS[label]
+        for time in (lo, 0.5 * (lo + hi), hi):
+            f = sp.lambdify(node, rho.subs(t, sp.Float(time, 30)), "mpmath")
+            with mpmath.workdps(30):
+                if e.length_bounds is None:
+                    ref = mpmath.quad(f, [-mpmath.inf, -5, 0, 5, mpmath.inf])
+                else:
+                    end = mpmath.pi / 2 - 2 * mpmath.mpf(time)
+                    ref = mpmath.quad(f, [0, end / 1000, end / 10, end])
+            got = e.length(time)
+            bound = self.REFERENCE_BOUND.get(name, 1e-13)
+            assert abs(got - float(ref)) <= bound * float(ref), (name, time)
 
     def test_oval_increases_toward_pi(self):
         series = catalog.length_vs_time("oval-coshcosh",
@@ -123,20 +148,29 @@ def test_wick_pairing():
 
 
 def test_stored_text_is_canonical():
-    """Expressions, profiles and first derivatives are stored as sstr."""
+    """Expressions, profiles and arc-length densities are stored as sstr."""
     for name in ALL_NAMES:
         e = catalog.get(name)
-        slope = [e.slope] if e.finite_length else []
-        for form in [e.form, e.curvature_profile.form, *slope]:
+        density = [e.density] if e.finite_length else []
+        for form in [e.form, e.curvature_profile.form, *density]:
             assert sp.sstr(form.symbolic[0]) == form.text, (name, form.text)
 
 
-def test_stored_slope_is_first_derivative():
+def test_density_squared_is_interval_of_slope():
+    """density**2 is the graph form's interval of the first derivative.
+    interp-tan's density is written in d = pi/2 - 2t - |x|, the distance
+    from the nearer light-cone end, and stands for both halves of the
+    even curve: four times the interval at x = pi/2 - 2t - d."""
     for name in ALL_NAMES:
         e = catalog.get(name)
-        if e.finite_length:
-            assert e.slope.text == \
-                sp.sstr(sp.diff(*e.form.symbolic[:2])), name
+        if not e.finite_length:
+            continue
+        form, x, t = e.form.symbolic
+        rate = _GRAPH_FORMS[e.kind.value].interval(sp.diff(form, x))
+        rho, node, _ = e.density.symbolic
+        if node != x:
+            rate = 4 * rate.subs(x, sp.pi / 2 - 2 * t - node)
+        assert sp.simplify((rho ** 2 - rate).rewrite(sp.exp)) == 0, name
 
 
 def test_compiled_samples_match_lambdify():
@@ -154,9 +188,9 @@ def test_compiled_samples_match_lambdify():
                 probes += [(e.form, pts, t + dt) for dt in (-h, 0.0, h)]
         if e.finite_length:
             ts = np.linspace(*lengths[name], 50)[:, None]
-            lo, hi = np.vectorize(e.length_bounds or (lambda _: (-20.0, 20.0)),
+            lo, hi = np.vectorize(e.length_bounds or (lambda _: (-40.0, 40.0)),
                                   otypes=[float, float])(ts)
-            probes.append((e.slope,
+            probes.append((e.density,
                            lo + (hi - lo) * np.linspace(0.0, 1.0, 201), ts))
         for form, pts, t in probes:
             expr, space, time = form.symbolic

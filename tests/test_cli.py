@@ -631,6 +631,21 @@ class TestInvariantCommand:
         assert code == 2
         assert f"InvalidParams: {words}" in capsys.readouterr().err
 
+    # A probe time whose motion overflows float64 is refused, not traced.
+    @pytest.mark.parametrize("kind, span, t_probe", [
+        ("exp-diagonal", ["1", "12"], "1e3"),
+        ("hyperbola", ["-4", "4"], "1e300")])
+    def test_probe_time_past_float_range_refused(self, capsys, kind, span,
+                                                 t_probe):
+        code = run(["invariant", "check", "--kind", kind, "--span", *span,
+                    "--t-probe", t_probe])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"InvalidParams: probe time t={float(t_probe):g} (--t-probe) "
+            "maps the curve beyond the float64 range\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("action, extra, words", [
         ("check", ["--span", "nan", "4"], "--span takes two finite numbers "
          "in increasing order, not nan 4"),
@@ -702,6 +717,15 @@ def test_refusal_names_the_nested_command(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: minkflow catalog show ")
     assert err.endswith("minkflow catalog show: error: unrecognized "
+                        "arguments: --tol nan\n")
+
+
+def test_word_after_unknown_option_refused_with_it(capsys):
+    # nan follows --tol, so it is refused with it, not read as NAME
+    assert exit_code(["catalog", "lengths", "--all", "--tol", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: minkflow catalog lengths ")
+    assert err.endswith("minkflow catalog lengths: error: unrecognized "
                         "arguments: --tol nan\n")
 
 
@@ -928,15 +952,20 @@ class TestColdStart:
         assert self.loaded(code, tmp_path) == []
 
     # Sampling a closed form compiles its text to numpy: no command that
-    # only samples one loads sympy.  The --dt refusal loads no scipy either.
+    # only samples one loads sympy.  The --dt refusal, the arc lengths and
+    # the invariance checks load no scipy either.
     @pytest.mark.parametrize("argv, rc, heavy", [
         (["evolve", "hyperbola-expander", "--t0", "0.5", "--t1", "2",
           "--dt", "0.1"], 3, []),
-        (["catalog", "lengths", "--all", "--points", "3"], 0, ["scipy"]),
+        (["catalog", "lengths", "--all", "--points", "3"], 0, []),
         (["evolve", "hyperbola-expander", "--t0", "0.5", "--t1", "0.52",
           "--dx", "0.1", "--window", "-1", "1"], 0, ["scipy"]),
         (["evolve", "expr:0.3*x^2/4 + coth(t+2)", "--t1", "0.01",
           "--dx", "0.1", "--window", "-1", "1"], 0, ["scipy"]),
+        (["invariant", "check", "--kind", "hyperbola", "--params",
+          '{"radius": 1.0}', "--span", "-4", "4"], 0, []),
+        (["invariant", "check", "--kind", "mink-log-spiral", "--params",
+          '{"alpha": 0.5}', "--span", "0.05", "12"], 0, []),
     ])
     def test_sympy_free_commands(self, tmp_path, argv, rc, heavy):
         code = ("import sys\nfrom minkflow.cli import main\n"

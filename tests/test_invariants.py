@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from minkflow import catalog, selfsim
+from minkflow import catalog, invariants, selfsim
 from minkflow.errors import DegenerateSpiral, InvalidParams
 from minkflow.hyperbolic import HyperbolicNumber as HN
 from minkflow.invariants import (InvariantCurveSpec, InvariantKind,
@@ -211,3 +212,44 @@ class TestDoubleRole:
                                 (self.curve.xi - base_eta) / 2.0])
         inside = (eta3 > base_eta[0] + 0.05) & (eta3 < base_eta[-1] - 0.05)
         assert point_set_deviation(base, mapped[inside]) < 1e-8
+
+
+# A space-like graph: increasing x steps and slopes |dy/dx| < 1.
+_GRAPHS = st.integers(3, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n),
+    st.lists(st.floats(-0.99, 0.99), min_size=n, max_size=n)))
+# Probes as a sample plus an offset scaled by 0 (on the curve), 1e-3 or 1.
+_PROBES = st.lists(st.tuples(st.integers(0, 39),
+                             st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                             st.sampled_from([0.0, 1e-3, 1.0])),
+                   min_size=1, max_size=30)
+
+
+class TestNearestSample:
+    @settings(max_examples=60, deadline=None)
+    @given(_GRAPHS, _PROBES, st.booleans())
+    def test_matches_brute_force(self, graph, probes, reverse):
+        steps, slopes = map(np.array, graph)
+        base = np.column_stack([np.cumsum(steps), np.cumsum(steps * slopes)])
+        if reverse:
+            base = base[::-1].copy()
+        pts = np.array([base[i % len(base)] + scale * np.array([dx, dy])
+                        for i, dx, dy, scale in probes])
+        brute = np.argmin(np.sum((base[None] - pts[:, None]) ** 2, axis=-1),
+                          axis=1)
+        assert np.array_equal(invariants._nearest(base, pts), brute)
+
+    def test_tie_goes_to_lowest_index(self):
+        base = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        probes = np.array([[0.5, 0.3], [1.5, -0.2]])
+        assert invariants._nearest(base, probes).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("base, words", [
+        ([[0, 0], [1, 0], [0.5, 0], [2, 0]], "sample 2 breaks the strict "
+         "order of the curve in x + y"),
+        ([[0, 0], [1, 2], [2, 2.5]], "sample 2 breaks the strict order of "
+         "the curve in x - y"),
+        ([[0, 0], [1, 0], [1, 0], [2, 0]], "sample 2 breaks")])
+    def test_base_out_of_light_cone_order_refused(self, base, words):
+        with pytest.raises(InvalidParams, match=words.replace("+", r"\+")):
+            point_set_deviation(np.array(base, float), np.zeros((1, 2)))
