@@ -7,7 +7,8 @@ graph variable (``x``, or eta for lightcone entries) and time ``t``, its
 curvature profile and, for the six finite-length entries, its arc-length
 ``density`` ds/dnode, written so that no term cancels.  Residuals,
 lengths and boundary values sample the text compiled to numpy; only the
-curvature-profile check derives with sympy, once per entry.
+curvature-profile check derives with sympy, once per entry.  Lengths
+integrate the density with ``geometry._double_exponential``.
 
 Canonical names: translator-y, translator-x, translator-xi,
 hyperbola-expander, screw-tanh, screw-tan, screw-coth, oval-coshcosh,
@@ -24,9 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfiniteLength, QuadratureFailed, UnknownSolution
+from .errors import InfiniteLength, UnknownSolution
 from .flow import (ClosedForm, FlowKind, Plane, ResidualReport, _level,
                    _operator, residual)
+from .geometry import _double_exponential
 
 DEFAULT_LEVELS = (0.02, 0.01, 0.005)
 ORDER_TARGET, ORDER_TOL = 2.0, 0.3
@@ -75,66 +77,19 @@ class ExactSolution:
 
         The integral of ``density`` over the entry's whole domain: the
         real line, or ``length_bounds(t)``, whose lower end may be a
-        light-cone end where the density blows up.  Each time is
-        integrated on its own, so an array of times gives the same bits
-        as a loop over them.
+        light-cone end where the density blows up.  Each time is one call
+        of ``geometry._double_exponential``, so an array of times gives the
+        same bits as a loop over them; QuadratureFailed names the time.
         """
         if not self.finite_length:
             raise InfiniteLength(f"{self.name} has no finite Minkowski length")
         ts = np.asarray(t, dtype=float)
         bounds = self.length_bounds or (lambda _: None)
-        out = [_double_exponential(lambda u: self.density(u, s), bounds(s),
-                                   f"{self.name} at t={s:g}")
-               for s in ts.ravel().tolist()]
+        out = [float(_double_exponential(
+            lambda u: self.density(u, s), bounds(s),
+            lambda _: f"the length of {self.name} at t={s:g}"))
+            for s in ts.ravel().tolist()]
         return out[0] if ts.ndim == 0 else np.reshape(out, ts.shape)
-
-
-@functools.cache
-def _de_nodes(finite: bool, level: int) -> tuple:
-    """The abscissae, and weights times the step, that level ``level`` of
-    the double-exponential rule adds: every multiple of the step 1/8 at
-    level 0, then the odd multiples of the halved step.
-
-    Tanh-sinh (``finite``) gives fractions of an interval, measured from
-    its lower end so that they stay exact near it; the nodes stop where
-    the weight underflows.  Sinh-sinh gives points of the real line; the
-    nodes stop where the weight would overflow.
-    """
-    h = 0.5 ** (3 + level)
-    u = np.arange(-7.0, 7.0 + h / 2, h)[1::2 if level else 1]
-    z = 0.5 * math.pi * np.sinh(u)
-    if not finite:
-        keep = np.abs(z) < 700.0
-        u, z = u[keep], z[keep]
-        return np.sinh(z), 0.5 * math.pi * h * np.cosh(u) * np.cosh(z)
-    e = np.exp(-2.0 * np.abs(z))  # so that 1 - tanh|z| = 2e / (1 + e)
-    w = math.pi * h * np.cosh(u) * e / (1.0 + e) ** 2
-    keep = w >= np.finfo(float).tiny
-    return (np.where(z < 0.0, e, 1.0) / (1.0 + e))[keep], w[keep]
-
-
-def _double_exponential(f, bounds, where: str) -> float:
-    """The integral of f over the real line (``bounds`` None) or over
-    ``bounds`` = (lo, hi), where f may be singular at lo.
-
-    Takahasi and Mori's double-exponential rule (Publ. RIMS 9, 1974),
-    with the level doubling of Bailey, Jeyabalan and Li (Experimental
-    Math. 14, 2005): each level halves the step.  The error roughly
-    squares from one level to the next, so once two levels agree to
-    1e-10 the later one is good to rounding.
-    """
-    total = None
-    for level in range(8):
-        x, w = _de_nodes(bounds is not None, level)
-        if bounds is not None:
-            lo, hi = bounds
-            x, w = lo + (hi - lo) * x, (hi - lo) * w
-        part = float(w @ f(x))
-        previous, total = total, part if total is None else 0.5 * total + part
-        if previous is not None and abs(total - previous) <= 1e-10 * abs(total):
-            return total
-    raise QuadratureFailed(f"the length of {where} did not settle by step "
-                           "2^-10 of the double-exponential rule")
 
 
 def _entry(name, plane, kind, t_domain, expr, times, window, profile, notes,

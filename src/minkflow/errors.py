@@ -62,7 +62,7 @@ class BranchContainsRoot(MinkflowError):
 
 
 class QuadratureFailed(MinkflowError):
-    """Adaptive quadrature stopped short of its tolerance on some cell."""
+    """The double-exponential rule did not settle on some interval."""
 
 
 class SolverFailed(MinkflowError):

@@ -24,10 +24,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (BranchContainsRoot, Inconclusive, InvalidParams,
-                     NoInvariantKnown, NonFiniteCurve, QuadratureFailed,
-                     SolverFailed, TimeLikeBranch)
-from .geometry import (_GRAPH_FORMS, SLOPE_TOL, Curve, _curve,
-                       reconstruct_positions)
+                     NoInvariantKnown, NonFiniteCurve, SolverFailed,
+                     TimeLikeBranch)
+from .geometry import (_GRAPH_FORMS, SLOPE_TOL, Curve, _cumulative, _curve,
+                       _double_exponential, reconstruct_positions)
 from .hyperbolic import HyperbolicNumber
 
 BLOWUP_THRESHOLD = 1e8
@@ -848,9 +848,6 @@ class _Conserved:
     m: int
     terms: Callable
 
-    def value(self, r, E):
-        return E if self.m == 0 else r ** self.m * math.exp(E)
-
 
 def _screw_terms(p, xp, tau, nu, theta, xi):
     xi = xp.exp(theta) * (tau - nu) if xi is None else xi
@@ -894,7 +891,8 @@ def conserved_quantity(p: SolitonParams, state) -> float:
     fam = _conserved(p)
     tau, nu = float(state[0]), float(state[1])
     theta = float(state[2]) if len(state) > 2 else 0.0
-    return fam.value(*fam.terms(p, math, tau, nu, theta, None))
+    r, E = fam.terms(p, math, tau, nu, theta, None)
+    return E if fam.m == 0 else r ** fam.m * math.exp(E)
 
 
 def conserved_drift(p: SolitonParams, traj_or_curve) -> dict:
@@ -903,8 +901,9 @@ def conserved_drift(p: SolitonParams, traj_or_curve) -> dict:
     (|tau|, |nu| <= STATE_CAP, or xi <= XI_CAP for screw-translation
     unless integrate_lightcone carried the exact defect) and r has its
     s = 0 sign and reaches RELATIVE_FLOOR / RTOL; if the s = 0 node does
-    not, value and drift are NaN and n_monitored is 0.  The log of Q is
-    taken on the monitored nodes only.
+    not, or its Q is beyond float64 (m ln|r| + E > ln(float max)), value
+    and drift are NaN and n_monitored is 0.  The log of Q is taken on the
+    monitored nodes only, and the value from it.
     """
     fam, c = _conserved(p), traj_or_curve
     tau, nu, theta = c.tau, c.nu, c.theta
@@ -918,12 +917,12 @@ def conserved_drift(p: SolitonParams, traj_or_curve) -> dict:
     i0 = int(np.argmin(np.abs(c.s)))
     if fam.m:
         mask = mask & (r * np.sign(r[i0]) >= RELATIVE_FLOOR / RTOL)
-    if not mask[i0]:
+    ref = fam.m * math.log(abs(r[i0])) + E[i0] if fam.m and mask[i0] else 0.0
+    if not mask[i0] or ref > math.log(np.finfo(float).max):
         return {"name": fam.name, "value": math.nan, "drift": math.nan,
                 "n_monitored": 0}
-    value = fam.value(r[i0] if fam.m else None, E[i0])
+    value = math.copysign(math.exp(ref), r[i0] ** fam.m) if fam.m else E[i0]
     if fam.m:
-        ref = fam.m * math.log(abs(r[i0])) + E[i0]
         logq = fam.m * np.log(np.abs(r[mask])) + E[mask]
         drift = np.max(np.abs(np.expm1(logq - ref)))
     else:
@@ -1095,9 +1094,10 @@ def screw_translate_curve(A: float, branch: int = -1,
     of D(xi) = xi - 1 + A e^{-xi}; the arc length integrand is
     1/sqrt(2 D).  ``branch`` indexes the space-like branches by
     increasing xi (default: the rightmost).  The span must stay at least
-    1e-8 away from every root of D.
+    1e-8 away from every root of D.  Both integrals come from
+    ``geometry._double_exponential`` on the cells of the xi grid, and
+    QuadratureFailed names the first cell on which they do not settle.
     """
-    from scipy.integrate import tanhsinh
     if n < 2:
         raise InvalidParams(f"n must be at least 2, got {n}")
     every = screw_branches(A)
@@ -1112,42 +1112,31 @@ def screw_translate_curve(A: float, branch: int = -1,
             f"index {branch} is out of range") from None
     lo, hi = chosen["interval"]
     if xi_span is None:
-        left = lo + 0.05 if math.isfinite(lo) else min(hi - 8.0, -6.0)
-        right = hi - 0.05 if math.isfinite(hi) else max(lo + 8.0, 2.0)
-        xi_span = (left, right)
-    guard = 1e-8
-    if not (lo + guard <= xi_span[0] < xi_span[1] <= hi - guard):
+        xi_span = (lo + 0.05 if math.isfinite(lo) else min(hi - 8.0, -6.0),
+                   hi - 0.05 if math.isfinite(hi) else max(lo + 8.0, 2.0))
+    if not (lo + 1e-8 <= xi_span[0] < xi_span[1] <= hi - 1e-8):
         raise BranchContainsRoot(
             f"xi_span {xi_span} leaves the root-free interval "
             f"({lo}, {hi}) of branch {branch}")
 
     D = _denominator(A)
     xis = np.linspace(xi_span[0], xi_span[1], n)
-    left, width = xis[:-1], np.diff(xis)
 
-    def cumulative(g):
-        """Integral of g(D) from xis[0] to each node: vectorized quadrature
-        over 512 cells a call (which bounds tanhsinh's work arrays), in the
-        offset t from each cell's left end x.  D(x + t) = D(x) + t +
-        A e^{-x} expm1(-t) keeps D's relative precision next to a root,
-        which x + t would round off."""
-        cells = []
-        for i in range(0, n - 1, 512):
-            x = left[i:i + 512]
-            res = tanhsinh(lambda t, d, c: g(d + t + c * np.expm1(-t)), 0.0,
-                           width[i:i + 512], args=(D(x), A * np.exp(-x)),
-                           atol=1e-13, rtol=1e-12)
-            if not np.all(res.success):
-                j = i + int(np.argmin(res.success))
-                raise QuadratureFailed(
-                    f"screw quadrature did not converge on the cell "
-                    f"[{xis[j]:.17g}, {xis[j + 1]:.17g}] of xi (the first "
-                    f"such cell; status {int(res.status[j - i])})")
-            cells.append(res.integral)
-        return np.concatenate([[0.0], np.cumsum(np.concatenate(cells))])
+    def integrands(t, x):
+        # 0.5/D and 1/sqrt(2 D) at the offsets t from cells' left ends x:
+        # D(x + t) = D(x) + t + A e^{-x} expm1(-t) keeps D's relative
+        # precision next to a root, which x + t would round off.
+        dt = D(x) + t + A * np.exp(-x) * np.expm1(-t)
+        return np.stack((0.5 / dt, 1.0 / np.sqrt(2.0 * dt)))
 
-    eta = cumulative(lambda d: 0.5 / d)
-    s = cumulative(lambda d: 1.0 / np.sqrt(2.0 * d))
+    cells = []
+    for i in range(0, n - 1, 512):  # 512 cells a call bound the work arrays
+        x = xis[i:i + 513, None]
+        cells.append(_double_exponential(
+            lambda t: integrands(t, x[:-1]), (0.0, np.diff(x[:, 0])),
+            lambda j: f"the screw quadrature on the cell [{x[j, 0]:.17g}, "
+                      f"{x[j + 1, 0]:.17g}] of xi (the first such cell)"))
+    eta, s = _cumulative(np.concatenate(cells, axis=1))
 
     w = 2.0 * D(xis)              # xi'
     # k = xi'' / (2 xi'^{3/2}) with xi'' = 2 D'(xi) xi', in closed form

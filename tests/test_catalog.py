@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from minkflow import catalog, flow
-from minkflow.errors import InfiniteLength, UnknownSolution
+from minkflow import catalog, flow, geometry
+from minkflow.errors import InfiniteLength, QuadratureFailed, UnknownSolution
 from minkflow.flow import FlowKind, Plane, residual, wick_transform
 from minkflow.geometry import _GRAPH_FORMS
 
@@ -126,6 +126,15 @@ class TestLengths:
             scalar = [e.length(float(t)) for t in ts]
             assert all(type(v) is float for v in scalar)
             assert np.array_equal(e.length(ts), scalar), label
+
+    def test_unsettled_length_is_refused(self, monkeypatch):
+        # The message's last step follows from the rule's level cap: two
+        # levels end at the step 2^-4.
+        monkeypatch.setattr(geometry, "DE_LEVELS", 2)
+        with pytest.raises(QuadratureFailed,
+                           match=r"^the length of translator-y at t=-0\.5 "
+                                 r"did not settle by step 2\^-4 "):
+            catalog.get("translator-y").length(-0.5)
 
     def test_infinite_length_rejected(self):
         for name in ("screw-tan", "hyperbola-expander", "wave-sinsin",

@@ -136,6 +136,26 @@ class TestSelfsimCommand:
         assert words in capsys.readouterr().err
         assert not out.exists()
 
+    # Q = nu^2 e^{b(tau^2 - nu^2)} at s = 0 overflowed math.exp: from
+    # (3, 1e8) in (k, l) Q is past float64 and is not monitored; from
+    # (0.004, 1e-200) e^E alone is past it, but Q = e^679 is not.
+    @pytest.mark.parametrize("chart, init, log_q", [
+        ("kl", "3,1e8", None),
+        ("taunu", "0.004,1e-200", 2 * math.log(1e-200) + 1e8 * 0.004 ** 2)])
+    def test_conserved_value_near_float_max(self, capsys, chart, init, log_q):
+        assert run(["classify", "--a", "0", "--b", "1e8", "--chart", chart,
+                    "--init", init, "--s-max", "0"]) == 0
+        conserved = json.loads(capsys.readouterr().out)["conserved"]
+        if log_q is None:
+            assert math.isnan(conserved["value"])
+            assert math.isnan(conserved["drift"])
+            assert conserved["n_monitored"] == 0
+        else:
+            assert math.log(conserved["value"]) == pytest.approx(log_q,
+                                                                 rel=1e-14)
+            assert conserved["drift"] == 0.0
+            assert conserved["n_monitored"] == 1
+
     def test_unknown_method_refused(self, capsys):
         # Measured stiffness picks the solver; there is no --method.
         with pytest.raises(SystemExit) as exc:

@@ -3,9 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minkflow import geometry as geo
-from minkflow.errors import GridTooCoarse, NotSpaceLike
+from minkflow.errors import GridTooCoarse, NotSpaceLike, QuadratureFailed
 from minkflow.geometry import (curve_from_graph_fn, frame_from_graph,
                                frame_from_lightcone, read_curve_csv,
                                reconstruct_positions, write_curve_csv)
@@ -204,3 +205,38 @@ def test_csv_written_atomically(tmp_path, monkeypatch):
         write_curve_csv(c, path)
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+
+# Cells (d, w): the integrands 1/(d + t) and 1/sqrt(2 (d + t)) over
+# (0, w), a pole at distance d below the interval, as on a screw cell
+# next to a root of D.
+_CELLS = st.lists(st.tuples(st.floats(1e-9, 10.0), st.floats(1e-6, 1.0)),
+                  min_size=1, max_size=8)
+
+
+def _both(d):
+    d = np.expand_dims(d, -1)
+    return lambda t: np.stack((1.0 / (d + t), 1.0 / np.sqrt(2.0 * (d + t))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_CELLS)
+def test_double_exponential_batch_matches_closed_forms(cells):
+    d, w = np.array(cells).T
+    exact = np.stack((np.log1p(w / d),   # and sqrt(2(d + w)) - sqrt(2d):
+                      2.0 * w / (np.sqrt(2.0 * (d + w)) + np.sqrt(2.0 * d))))
+    batch = geo._double_exponential(_both(d), (0.0, w), str)
+    alone = np.transpose([geo._double_exponential(_both(di), (0.0, wi), str)
+                          for di, wi in zip(d, w)])
+    for got in (batch, alone):
+        assert got.shape == exact.shape
+        assert np.max(np.abs(got / exact - 1.0)) < 1e-13
+
+
+def test_double_exponential_names_the_first_unsettled_interval(monkeypatch):
+    monkeypatch.setattr(geo, "DE_LEVELS", 2)
+    d = np.array([1.0, 1e-6, 1e-6])
+    with pytest.raises(QuadratureFailed,
+                       match=r"^interval 1 did not settle by step 2\^-4 "):
+        geo._double_exponential(_both(d), (np.zeros(3), np.ones(3)),
+                                "interval {}".format)
